@@ -21,7 +21,7 @@ from .errors import (
     StructureError,
     ZeroPolynomialError,
 )
-from .estimator import EstimateResult, estimate, exact_or_sample, get_budget
+from .estimator import EstimateResult, estimate, get_budget
 from .genbasis import FieldOrdering
 from .rmcode import CodeParams, character_membership, distance, is_member
 from .sztest import degree_drop_probability, tight_witness, verify_tightness
@@ -46,7 +46,6 @@ __all__ = [
     "distance",
     "estimate",
     "evaluate_all",
-    "exact_or_sample",
     "get_budget",
     "interpolate",
     "is_member",

@@ -31,6 +31,9 @@ NEG_INF = float("-inf")
 # Instances with q**n above this cap are refused (dense tables only).
 DENSE_CAP = 1 << 24
 
+# transform_rows multiplies by Kronecker powers with at most this many rows.
+_KRON_ROWS = 32
+
 
 def is_prime(q: int) -> bool:
     """Primality by trial division; adequate for the small moduli used here."""
@@ -201,31 +204,8 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class MonomialProduct:
-    """Both products of a monomial pair plus the disjointness predicate."""
-
-    unreduced_exponents: tuple[int, ...]
-    reduced: Monomial
-    disjoint: bool
-    unreduced_valid: bool  # exponent sums all below q
-
-
-def monomial_product(m1: Monomial, m2: Monomial) -> MonomialProduct:
-    """Compute the unreduced and reduced products and whether they agree."""
-    raw = m1.unreduced_exponents(m2)
-    valid = all(e < m1.q for e in raw)
-    return MonomialProduct(raw, m1 * m2, valid, valid)
-
-
-def compare_graded_lex(m1: Monomial, m2: Monomial) -> int:
-    """-1, 0 or 1 as m1 is below, equal to, or above m2 in graded lex."""
-    k1, k2 = m1.sort_key(), m2.sort_key()
-    return (k1 > k2) - (k1 < k2)
-
-
 # ---------------------------------------------------------------------------
-# Transform tables (cached per (q, n))
+# Linear algebra mod q and the per-axis transform
 # ---------------------------------------------------------------------------
 
 
@@ -277,33 +257,39 @@ def _vandermonde(q: int) -> np.ndarray:
     for x in range(q):
         for e in range(q):
             v[x, e] = pow(x, e, q) if e else 1
+    v.flags.writeable = False
     return v
 
 
 @functools.lru_cache(maxsize=None)
 def _vandermonde_inv(q: int) -> np.ndarray:
-    return _inverse_mod_matrix(_vandermonde(q), q)
+    v = _inverse_mod_matrix(_vandermonde(q), q)
+    v.flags.writeable = False
+    return v
 
 
 @functools.lru_cache(maxsize=None)
+def _kron_power(q: int, size: int, mat_bytes: bytes) -> np.ndarray:
+    """The size-fold Kronecker power of a q x q matrix, reduced mod q."""
+    mat = np.frombuffer(mat_bytes, dtype=np.int64).reshape(q, q)
+    out = np.ones((1, 1), dtype=np.int64)
+    for _ in range(size):
+        out = np.kron(out, mat) % q
+    out.flags.writeable = False
+    return out
+
+
 def eval_matrix(q: int, n: int) -> np.ndarray:
-    """Matrix M with M[point, monomial] = value of the monomial at the point."""
+    """Dense reference M with M[point, monomial] = value of the monomial at
+    the point; q**n x q**n, so the batch transforms never build it."""
     _check_size(q, n)
-    m = np.ones((1, 1), dtype=np.int64)
-    for _ in range(n):
-        m = np.kron(m, _vandermonde(q)) % q
-    m.flags.writeable = False
-    return m
+    return _kron_power(q, n, _vandermonde(q).tobytes())
 
 
-@functools.lru_cache(maxsize=None)
 def interp_matrix(q: int, n: int) -> np.ndarray:
+    """Dense reference inverse of eval_matrix(q, n)."""
     _check_size(q, n)
-    m = np.ones((1, 1), dtype=np.int64)
-    for _ in range(n):
-        m = np.kron(m, _vandermonde_inv(q)) % q
-    m.flags.writeable = False
-    return m
+    return _kron_power(q, n, _vandermonde_inv(q).tobytes())
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,32 +310,41 @@ def monomial_indices_up_to_degree(q: int, n: int, d: int) -> np.ndarray:
     return np.flatnonzero(degree_table(q, n) <= d)
 
 
-def _axis_transform(vec: np.ndarray, q: int, n: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a q x q matrix along every axis of a length-q**n vector.
+def transform_rows(q: int, n: int, rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply a q x q matrix mod q along every axis of each length-q**n row.
 
-    n applications of a q x q product: O(n * q * q**n) field operations,
-    which is what keeps single transforms viable near the dense cap.
+    Consecutive axes are taken in groups whose Kronecker power of mat has
+    at most _KRON_ROWS rows, one matmul per group, so no q**n x q**n
+    matrix is ever built; rows may be one row or any (..., q**n) array.
     """
+    rows = np.asarray(rows, dtype=np.int64)
     if n == 0:
-        return np.array(vec, dtype=np.int64)
-    if n == 1:
-        return mat @ np.asarray(vec, dtype=np.int64) % q
-    out = np.array(vec, dtype=np.int64)
-    for axis in range(n):
-        tensor = np.moveaxis(out.reshape((q,) * n), axis, 0)
-        shape = tensor.shape
-        tensor = (mat @ tensor.reshape(q, -1)) % q
-        out = np.moveaxis(tensor.reshape(shape), 0, axis).reshape(-1)
-    return out
+        return rows % q
+    size = 1
+    while q ** (size + 1) <= _KRON_ROWS:
+        size += 1
+    mat_bytes = np.ascontiguousarray(mat, dtype=np.int64).tobytes()
+    lead = rows.size // q**n
+    out = rows
+    for start in range(0, n, size):
+        width = min(size, n - start)
+        kron = _kron_power(q, width, mat_bytes)
+        inner = q ** (n - start - width)
+        if inner == 1:
+            out = out.reshape(-1, q**width) @ kron.T
+        else:
+            out = np.matmul(kron, out.reshape(lead * q**start, q**width, inner))
+        out %= q
+    return out.reshape(rows.shape)
 
 
 def batch_evaluate(q: int, n: int, coeff_rows: np.ndarray) -> np.ndarray:
     """Evaluation tables (rows) for a matrix of coefficient rows."""
-    return coeff_rows @ eval_matrix(q, n).T % q
+    return transform_rows(q, n, coeff_rows, _vandermonde(q))
 
 
 def batch_interpolate(q: int, n: int, value_rows: np.ndarray) -> np.ndarray:
-    return value_rows @ interp_matrix(q, n).T % q
+    return transform_rows(q, n, value_rows, _vandermonde_inv(q))
 
 
 def batch_degrees(q: int, n: int, coeff_rows: np.ndarray) -> np.ndarray:
@@ -527,7 +522,7 @@ class Polynomial:
         return int(self.evaluate_all().values[idx])
 
     def evaluate_all(self) -> "EvalTable":
-        vals = _axis_transform(self.coeffs, self.q, self.n, _vandermonde(self.q))
+        vals = transform_rows(self.q, self.n, self.coeffs, _vandermonde(self.q))
         return EvalTable(self.q, self.n, vals)
 
     def restrict(self, ell: Sequence[int], alpha: int) -> "Polynomial":
@@ -590,7 +585,7 @@ def evaluate_all(f: Polynomial) -> EvalTable:
 
 def interpolate(t: EvalTable) -> Polynomial:
     """The unique reduced polynomial with the given evaluation table."""
-    coeffs = _axis_transform(t.values, t.q, t.n, _vandermonde_inv(t.q))
+    coeffs = transform_rows(t.q, t.n, t.values, _vandermonde_inv(t.q))
     return Polynomial(t.q, t.n, coeffs)
 
 

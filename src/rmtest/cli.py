@@ -218,6 +218,17 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
+def _emit_expectation(report: dict, args) -> int:
+    """Record whether p_hat met --expect-min / --expect-max, emit, exit."""
+    p = float(report["p_hat"])
+    held = (args.expect_min is None or p >= args.expect_min - 1e-12) and (
+        args.expect_max is None or p <= args.expect_max + 1e-12
+    )
+    report["relation_held"] = held
+    _emit(report, args)
+    return EXIT_OK if held else EXIT_RELATION_FAILED
+
+
 def _bound_fields(cfg: mt.TestConfig, f, args):
     """Soundness bound for the configured distance (explicit or computed)."""
     delta = args.delta
@@ -260,14 +271,7 @@ def cmd_test_ek(args) -> int:
     if bp is not None:
         report["eta"] = bp.eta
         report["eta_alt_reading"] = bp.eta_alt_reading
-    held = True
-    if args.expect_min is not None:
-        held &= float(report["p_hat"]) >= args.expect_min - 1e-12
-    if args.expect_max is not None:
-        held &= float(report["p_hat"]) <= args.expect_max + 1e-12
-    report["relation_held"] = held
-    _emit(report, args)
-    return EXIT_OK if held else EXIT_RELATION_FAILED
+    return _emit_expectation(report, args)
 
 
 def cmd_corr_h(args) -> int:
@@ -289,14 +293,7 @@ def cmd_corr_h(args) -> int:
             (res.ci_low, res.ci_high), None, None, args.seed,
         )
     report["h"] = list(coeffs)
-    held = True
-    if args.expect_min is not None:
-        held &= float(report["p_hat"]) >= args.expect_min - 1e-12
-    if args.expect_max is not None:
-        held &= float(report["p_hat"]) <= args.expect_max + 1e-12
-    report["relation_held"] = held
-    _emit(report, args)
-    return EXIT_OK if held else EXIT_RELATION_FAILED
+    return _emit_expectation(report, args)
 
 
 def cmd_robust(args) -> int:
@@ -428,6 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     sampled.add_argument("--exact", action="store_true", help="exhaustive enumeration")
     sampled.add_argument("--trials", type=int, default=1000, help="Monte Carlo trials")
 
+    expect = argparse.ArgumentParser(add_help=False)
+    expect.add_argument("--expect-min", type=float, help="fail unless p_hat >= this")
+    expect.add_argument("--expect-max", type=float, help="fail unless p_hat <= this")
+
     parser = argparse.ArgumentParser(
         prog="rmtest", description="Reed-Muller multiplication-test workbench"
     )
@@ -459,23 +460,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(fn=cmd_distance)
 
-    p = sub.add_parser("test-ek", parents=[common, sampled], help="multiplier test")
+    p = sub.add_parser("test-ek", parents=[common, sampled, expect], help="multiplier test")
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--delta", type=int, help="distance for the soundness bound")
-    p.add_argument("--expect-min", type=float, help="fail unless p_hat >= this")
-    p.add_argument("--expect-max", type=float, help="fail unless p_hat <= this")
     p.set_defaults(fn=cmd_test_ek)
 
-    p = sub.add_parser("corr-h", parents=[common, sampled], help="shaped multiplier test")
+    p = sub.add_parser(
+        "corr-h", parents=[common, sampled, expect], help="shaped multiplier test"
+    )
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--h", required=True, help="comma-separated c0,..,ck")
-    p.add_argument("--expect-min", type=float)
-    p.add_argument("--expect-max", type=float)
     p.set_defaults(fn=cmd_corr_h)
 
     p = sub.add_parser("robust", parents=[common, sampled], help="distance distribution")

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo estimation and the exact-oracle dispatcher.
+"""Seeded Monte Carlo estimation and the enumeration budget.
 
 Every trial draws from its own RNG stream derived from (master seed, trial
 index) through a 64-bit mixing finalizer, so estimates are bit-identical
@@ -82,33 +82,3 @@ def estimate(
             successes += 1
     low, high = wilson_interval(successes, trials)
     return EstimateResult(successes, trials, Fraction(successes, trials), low, high, seed)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of the exact-vs-sampled dispatch, tagged with its mode."""
-
-    mode: str  # "exact" | "sampled"
-    enumeration_count: int
-    exact: Fraction | None = None
-    estimate: EstimateResult | None = None
-
-    @property
-    def p_hat(self) -> Fraction:
-        return self.exact if self.mode == "exact" else self.estimate.p_hat
-
-
-def exact_or_sample(
-    enumeration_count: int,
-    exact_fn: Callable[[], Fraction],
-    event: Callable[[np.random.Generator], bool],
-    trials: int,
-    seed: int,
-    budget: int | None = None,
-) -> ProbeResult:
-    """Exact oracle when the enumeration fits the budget, else Monte Carlo."""
-    if enumeration_count <= get_budget(budget):
-        return ProbeResult("exact", enumeration_count, exact=exact_fn())
-    return ProbeResult(
-        "sampled", enumeration_count, estimate=estimate(event, trials, seed)
-    )

@@ -23,6 +23,7 @@ from .algebra import (
     ensure_prime,
     inverse_mod_matrix,
     mul_reduced,
+    transform_rows,
 )
 from .errors import ParamsMismatchError
 
@@ -137,15 +138,6 @@ def basis_matrix_inv(ordering: FieldOrdering) -> np.ndarray:
     return m
 
 
-def _apply_axis(coeffs: np.ndarray, q: int, n: int, axis: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a q x q matrix along one axis of the coefficient tensor."""
-    tensor = coeffs.reshape((q,) * n)
-    tensor = np.moveaxis(tensor, axis, 0)
-    shape = tensor.shape
-    flat = mat @ tensor.reshape(q, -1) % q
-    return np.moveaxis(flat.reshape(shape), 0, axis).reshape(-1)
-
-
 def to_generalized(f: Polynomial, ordering: FieldOrdering) -> np.ndarray:
     """Coefficients of f over products of basis polynomials.
 
@@ -154,19 +146,12 @@ def to_generalized(f: Polynomial, ordering: FieldOrdering) -> np.ndarray:
     """
     if f.q != ordering.q:
         raise ParamsMismatchError("ordering modulus differs from polynomial's")
-    out = np.array(f.coeffs)
-    inv = basis_matrix_inv(ordering)
-    for axis in range(f.n):
-        out = _apply_axis(out, f.q, f.n, axis, inv)
-    return out
+    return transform_rows(f.q, f.n, f.coeffs, basis_matrix_inv(ordering))
 
 
 def from_generalized(gen: np.ndarray, q: int, n: int, ordering: FieldOrdering) -> Polynomial:
     out = np.asarray(gen, dtype=np.int64) % q
-    mat = basis_matrix(ordering)
-    for axis in range(n):
-        out = _apply_axis(out, q, n, axis, mat)
-    return Polynomial(q, n, out)
+    return Polynomial(q, n, transform_rows(q, n, out, basis_matrix(ordering)))
 
 
 def generalized_terms(

@@ -25,8 +25,6 @@ from .algebra import (
     batch_degrees,
     batch_interpolate,
     coefficient_blocks,
-    eval_matrix,
-    monomial_indices_up_to_degree,
     mul_reduced,
     rank_mod,
     random_polynomial,
@@ -34,7 +32,13 @@ from .algebra import (
 )
 from .errors import InfeasibleInstanceError
 from .estimator import get_budget
-from .rmcode import CharacterSum, CodeParams, _character_counts, dual_code
+from .rmcode import (
+    CharacterSum,
+    CodeParams,
+    _character_counts,
+    codeword_tables,
+    dual_code,
+)
 
 DEFAULT_CQ = 6  # stand-in for the nonconstructive restriction constant
 
@@ -115,12 +119,10 @@ def test_e_k(f: Polynomial, cfg: TestConfig, rng: np.random.Generator) -> bool:
     return prod.degree <= cfg.target_degree
 
 
-def _multiplier_tables(cfg: TestConfig) -> np.ndarray:
-    q, n = cfg.code.q, cfg.code.n
-    idx = monomial_indices_up_to_degree(q, n, cfg.e)
-    sub = eval_matrix(q, n)[:, idx]
-    blocks = [blk @ sub.T % q for blk in coefficient_blocks(q, len(idx))]
-    return np.concatenate(blocks, axis=0)
+def _degree_tables(q: int, n: int, t: int) -> np.ndarray:
+    """Evaluation tables of every polynomial of degree <= t, in counter order."""
+    code = CodeParams(q, n, min(t, n * (q - 1)))
+    return np.concatenate([tables for _, tables in codeword_tables(code)])
 
 
 def exact_acceptance_probability(
@@ -136,7 +138,7 @@ def exact_acceptance_probability(
     total = count**cfg.k
     if total > get_budget(budget):
         raise InfeasibleInstanceError(total, get_budget(budget), "tuple enumeration")
-    tables = _multiplier_tables(cfg)
+    tables = _degree_tables(q, n, cfg.e)
     threshold = cfg.target_degree
 
     def count_accept(partial: np.ndarray, k_left: int) -> int:
@@ -171,11 +173,10 @@ def subspace_vanishing_probability(
     """Probability that one uniform degree-<=e multiplier vanishes on the
     L-dimensional subspace fixing the first n-L coordinates; the exact
     value is q^(-monomial_count(q, L, e))."""
-    cfg = TestConfig(CodeParams(q, n, 0), e)
     count = q ** combin.monomial_count(q, n, e)
     if count > get_budget(budget):
         raise InfeasibleInstanceError(count, get_budget(budget), "multiplier enumeration")
-    tables = _multiplier_tables(cfg)
+    tables = _degree_tables(q, n, e)
     # points of the subspace: first n-L coordinates zero
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     grid = next(coefficient_blocks(q, L, block_size=q**L)) if L else np.zeros((1, 0), dtype=np.int64)
@@ -311,7 +312,7 @@ def exact_corr_h_probability(
     count = q ** combin.monomial_count(q, n, cfg.e)
     if count > get_budget(budget):
         raise InfeasibleInstanceError(count, get_budget(budget), "multiplier enumeration")
-    tables = _multiplier_tables(cfg)
+    tables = _degree_tables(q, n, cfg.e)
     comp = h.value_table()[tables]
     prods = comp * f.evaluate_all().values[None, :] % q
     degs = batch_degrees(q, n, batch_interpolate(q, n, prods))
@@ -329,11 +330,10 @@ def raw_character_average(
 ) -> CharacterSum:
     """Average over uniform degree-<=e multipliers P of omega^<g(P), f>."""
     q, n = f.q, f.n
-    cfg = TestConfig(CodeParams(q, n, 0), e)
     count = q ** combin.monomial_count(q, n, e)
     if count > get_budget(budget):
         raise InfeasibleInstanceError(count, get_budget(budget), "multiplier enumeration")
-    tables = _multiplier_tables(cfg)
+    tables = _degree_tables(q, n, e)
     comp = g.value_table()[tables]
     residues = comp @ f.evaluate_all().values % q
     return _character_counts(q, residues)
@@ -344,11 +344,10 @@ def pair_character_average(
 ) -> CharacterSum:
     """Average over independent P1, P2 of omega^<scalar * P1 * P2, f>."""
     q, n = f.q, f.n
-    cfg = TestConfig(CodeParams(q, n, 0), e)
     count = q ** combin.monomial_count(q, n, e)
     if count**2 > get_budget(budget):
         raise InfeasibleInstanceError(count**2, get_budget(budget), "pair enumeration")
-    tables = _multiplier_tables(cfg)
+    tables = _degree_tables(q, n, e)
     weighted = tables * f.evaluate_all().values[None, :] * (scalar % q) % q
     residues = weighted @ tables.T % q
     return _character_counts(q, residues.ravel())
@@ -374,17 +373,12 @@ def character_average(
         raise InfeasibleInstanceError(
             count * dual_count, get_budget(budget), "double enumeration"
         )
-    tables = _multiplier_tables(cfg)
+    tables = _degree_tables(q, n, cfg.e)
     prods = h.value_table()[tables] * f.evaluate_all().values[None, :] % q
     if dual is None:
         residues = np.zeros(len(tables), dtype=np.int64)
         return _character_counts(q, residues)
-    idx = monomial_indices_up_to_degree(q, n, dual.d)
-    sub = eval_matrix(q, n)[:, idx]
-    dual_tables = np.concatenate(
-        [blk @ sub.T % q for blk in coefficient_blocks(q, len(idx))], axis=0
-    )
-    residues = prods @ dual_tables.T % q
+    residues = prods @ _degree_tables(q, n, dual.d).T % q
     return _character_counts(q, residues.ravel())
 
 
@@ -427,7 +421,7 @@ def robust_distance_experiment(
     target = CodeParams(q, n, min(cfg.code.d + cfg.e, n * (q - 1)))
     if target.size > budget:
         raise InfeasibleInstanceError(target.size, budget, "coset enumeration")
-    codewords = _all_codeword_tables(target)
+    codewords = _degree_tables(q, n, target.d)
     ftab = f.evaluate_all().values
     if trials is None:
         count = q ** combin.monomial_count(q, n, cfg.e)
@@ -435,7 +429,7 @@ def robust_distance_experiment(
             raise InfeasibleInstanceError(
                 count * len(codewords), budget, "multiplier x coset enumeration"
             )
-        tables = _multiplier_tables(cfg)
+        tables = _degree_tables(q, n, cfg.e)
         prods = tables * ftab[None, :] % q
         dists = _batch_distances(prods, codewords)
         mode, samples, seed_out = "exact", len(tables), None
@@ -467,15 +461,6 @@ def robust_distance_experiment(
         int(values.min()),
         float(median(sorted(int(x) for x in dists))),
         seed_out,
-    )
-
-
-def _all_codeword_tables(code: CodeParams) -> np.ndarray:
-    q, n = code.q, code.n
-    idx = monomial_indices_up_to_degree(q, n, code.d)
-    sub = eval_matrix(q, n)[:, idx]
-    return np.concatenate(
-        [blk @ sub.T % q for blk in coefficient_blocks(q, len(idx))], axis=0
     )
 
 

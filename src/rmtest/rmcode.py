@@ -21,9 +21,9 @@ from . import combin
 from .algebra import (
     FieldElement,
     Polynomial,
+    batch_evaluate,
     coefficient_blocks,
     ensure_prime,
-    eval_matrix,
     monomial_indices_up_to_degree,
 )
 from .errors import InfeasibleInstanceError
@@ -77,13 +77,24 @@ def is_member(f: Polynomial, code: CodeParams) -> bool:
     return f.degree <= code.d
 
 
-def _codeword_tables(code: CodeParams, block_size: int = 1 << 13):
-    """Yield (coefficient rows, evaluation rows) over the whole code."""
+def generator_matrix(code: CodeParams) -> np.ndarray:
+    """Evaluation tables of the monomials of degree <= d, one row each, in
+    monomial index order."""
     q, n = code.q, code.n
     idx = monomial_indices_up_to_degree(q, n, code.d)
-    sub = eval_matrix(q, n)[:, idx]
-    for block in coefficient_blocks(q, len(idx), block_size):
-        yield idx, block, block @ sub.T % q
+    units = np.zeros((len(idx), q**n), dtype=np.int64)
+    units[np.arange(len(idx)), idx] = 1
+    return batch_evaluate(q, n, units)
+
+
+def codeword_tables(code: CodeParams):
+    """Yield (coefficient rows, evaluation rows) over the whole code, the
+    coefficients over generator_matrix's rows in counter order."""
+    gen = generator_matrix(code)
+    for block in coefficient_blocks(code.q, len(gen), 1 << 13):
+        tables = block @ gen
+        tables %= code.q
+        yield block, tables
 
 
 def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> DistanceResult:
@@ -97,14 +108,14 @@ def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> Dist
     ftab = f.evaluate_all().values
     best = None
     best_coeffs = None
-    for idx, block, tables in _codeword_tables(code):
+    for block, tables in codeword_tables(code):
         dists = np.count_nonzero(tables != ftab[None, :], axis=1)
         j = int(np.argmin(dists))
         if best is None or dists[j] < best:
             best = int(dists[j])
-            best_coeffs = (idx, block[j].copy())
+            best_coeffs = block[j].copy()
     coeffs = np.zeros(q**n, dtype=np.int64)
-    coeffs[best_coeffs[0]] = best_coeffs[1]
+    coeffs[monomial_indices_up_to_degree(q, n, code.d)] = best_coeffs
     return DistanceResult(best, Polynomial(q, n, coeffs), "exact-coset", code.size)
 
 
@@ -114,7 +125,7 @@ def weight_distribution(code: CodeParams, budget: int | None = None) -> np.ndarr
     if code.size > budget:
         raise InfeasibleInstanceError(code.size, budget, "code enumeration")
     counts = np.zeros(code.q**code.n + 1, dtype=object)
-    for _, _, tables in _codeword_tables(code):
+    for _, tables in codeword_tables(code):
         w = np.count_nonzero(tables, axis=1)
         for wt, c in zip(*np.unique(w, return_counts=True)):
             counts[int(wt)] += int(c)
@@ -187,10 +198,7 @@ def _assert_duality(code: CodeParams, dual: CodeParams) -> None:
     if code.dimension + dual.dimension != q**n:
         raise AssertionError("dimensions are not complementary")
     # orthogonality of the monomial bases is enough by bilinearity
-    em = eval_matrix(q, n)
-    idx_c = monomial_indices_up_to_degree(q, n, code.d)
-    idx_d = monomial_indices_up_to_degree(q, n, dual.d)
-    gram = em[:, idx_c].T @ em[:, idx_d] % q
+    gram = generator_matrix(code) @ generator_matrix(dual).T % q
     if gram.any():
         raise AssertionError("claimed dual is not orthogonal")
 
@@ -277,14 +285,13 @@ def character_membership(
         if dual.size > budget:
             raise InfeasibleInstanceError(dual.size, budget, "dual enumeration")
         residues = []
-        for _, _, tables in _codeword_tables(dual):
+        for _, tables in codeword_tables(dual):
             residues.append(tables @ ftab % q)
         return _character_counts(q, np.concatenate(residues))
-    idx = monomial_indices_up_to_degree(q, n, dual.d)
-    sub = eval_matrix(q, n)[:, idx]
+    gen = generator_matrix(dual)
     rng = trial_rng(seed, 0)
-    coeffs = rng.integers(0, q, size=(trials, len(idx)))
-    residues = (coeffs @ sub.T % q) @ ftab % q
+    coeffs = rng.integers(0, q, size=(trials, len(gen)))
+    residues = (coeffs @ gen % q) @ ftab % q
     cs = _character_counts(q, residues)
     return CharacterSum(q, cs.counts, cs.total, "sampled")
 

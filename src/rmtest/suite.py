@@ -110,16 +110,14 @@ def _drop_bound_sweep(q: int, n: int, f_degree_cap: int, e_values) -> dict:
     violations = 0
     checked = 0
     equalities = 0
-    minv = alg.interp_matrix(q, n)
     for e in e_values:
-        midx = alg.monomial_indices_up_to_degree(q, n, e)
-        total = q ** len(midx)
-        sub = alg.eval_matrix(q, n)[:, midx]
+        multipliers = CodeParams(q, n, e)
+        total = multipliers.size
         hist = np.zeros((len(rows), nq + 2), dtype=np.int64)
-        for blk in alg.coefficient_blocks(q, len(midx)):
-            for ptab in blk @ sub.T % q:
+        for _, ptabs in rmcode.codeword_tables(multipliers):
+            for ptab in ptabs:
                 prods = ftables * ptab[None, :] % q
-                degs = alg.batch_degrees(q, n, prods @ minv.T % q)
+                degs = alg.batch_degrees(q, n, alg.batch_interpolate(q, n, prods))
                 for t in range(-1, nq + 1):
                     hist[:, t + 1] += degs == t
         cum = np.cumsum(hist, axis=1)
@@ -423,8 +421,7 @@ def criterion_squaring_chain() -> dict:
         # all function tables = all vectors
         F = np.concatenate(list(alg.coefficient_blocks(q, K)), axis=0).astype(float)
         for e in (0, 1):
-            cfg = mt.TestConfig(CodeParams(q, n, 0), e)
-            T = mt._multiplier_tables(cfg).astype(float)
+            T = mt._degree_tables(q, n, e).astype(float)
             IP = (T @ F.T) % q  # <P_i, f_j>
             S = F.sum(axis=1) % q  # <1, f_j>
             for a in range(1, q):

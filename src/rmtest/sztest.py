@@ -23,8 +23,6 @@ from .algebra import (
     Polynomial,
     batch_degrees,
     batch_interpolate,
-    coefficient_blocks,
-    eval_matrix,
     monomial_indices_up_to_degree,
     mul_reduced,
     rank_mod,
@@ -32,6 +30,7 @@ from .algebra import (
 )
 from .errors import InfeasibleInstanceError, ZeroPolynomialError
 from .estimator import EstimateResult, estimate, get_budget
+from .rmcode import CodeParams, codeword_tables
 
 
 @dataclass(frozen=True)
@@ -83,15 +82,13 @@ class SZBoundReport:
 def _drop_count_exact(f: Polynomial, e: int, threshold, budget: int) -> tuple[int, int]:
     """Count multipliers P of degree <= e with deg(fP) < threshold."""
     q, n = f.q, f.n
-    idx = monomial_indices_up_to_degree(q, n, e)
-    total = q ** len(idx)
+    multipliers = CodeParams(q, n, e)
+    total = multipliers.size
     if total > budget:
         raise InfeasibleInstanceError(total, budget, "multiplier enumeration")
-    sub = eval_matrix(q, n)[:, idx]
     ftab = f.evaluate_all().values
     drops = 0
-    for block in coefficient_blocks(q, len(idx)):
-        tables = block @ sub.T % q
+    for _, tables in codeword_tables(multipliers):
         prods = tables * ftab[None, :] % q
         degs = batch_degrees(q, n, batch_interpolate(q, n, prods))
         drops += int(np.count_nonzero(degs < threshold))

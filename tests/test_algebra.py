@@ -1,5 +1,7 @@
 """Ring arithmetic, orderings, transforms and text formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,17 +77,16 @@ class TestReducedProduct:
 
 class TestMonomials:
     def test_reduced_product_and_disjointness_over_f3(self):
-        m = Monomial(3, (2,))
-        res = alg.monomial_product(m, Monomial(3, (1,)))
-        assert res.unreduced_exponents == (3,)
-        assert not res.unreduced_valid
-        assert res.reduced == Monomial(3, (1,))
-        assert not res.disjoint
+        m1, m2 = Monomial(3, (2,)), Monomial(3, (1,))
+        assert m1.unreduced_exponents(m2) == (3,)
+        assert m1 * m2 == Monomial(3, (1,))
+        assert not m1.is_disjoint(m2)
 
     def test_disjoint_product(self):
-        res = alg.monomial_product(Monomial(3, (2, 0)), Monomial(3, (0, 1)))
-        assert res.reduced == Monomial(3, (2, 1))
-        assert res.disjoint and res.unreduced_valid
+        m1, m2 = Monomial(3, (2, 0)), Monomial(3, (0, 1))
+        assert m1 * m2 == Monomial(3, (2, 1))
+        assert m1.is_disjoint(m2)
+        assert m1.unreduced_exponents(m2) == (2, 1)
 
     def test_disjoint_matches_per_variable_rule_exhaustive(self):
         monos = [Monomial(2, (a, b)) for a in range(2) for b in range(2)]
@@ -94,22 +95,22 @@ class TestMonomials:
                 rule = all(
                     a + b < 2 for a, b in zip(m1.exponents, m2.exponents)
                 )
-                assert alg.monomial_product(m1, m2).disjoint == rule
+                assert m1.is_disjoint(m2) == rule
 
 
 class TestGradedLex:
     def test_equal_degree_tiebreak(self):
-        assert alg.compare_graded_lex(Monomial(3, (2, 0)), Monomial(3, (1, 1))) == 1
+        assert Monomial(3, (2, 0)) > Monomial(3, (1, 1))
 
     def test_degree_dominates(self):
-        assert alg.compare_graded_lex(Monomial(3, (0, 1)), Monomial(3, (1, 1))) == -1
+        assert Monomial(3, (0, 1)) < Monomial(3, (1, 1))
 
     def test_total_order_and_product_compatibility(self):
         monos = [Monomial(3, (a, b)) for a in range(3) for b in range(3)]
         ordered = sorted(monos)
         # strict chain
         for a, b in zip(ordered, ordered[1:]):
-            assert alg.compare_graded_lex(a, b) == -1
+            assert a < b and not b < a
         # unreduced products preserve the order
         for m1 in monos:
             for m2 in monos:
@@ -176,6 +177,50 @@ class TestTransforms:
         # table -> poly -> table as well
         table = EvalTable(q, n, rng.integers(0, q, q**n))
         assert alg.interpolate(table).evaluate_all() == table
+
+
+def _dims():
+    return st.sampled_from([(q, n) for q in (2, 3, 5) for n in range(9) if q**n <= 256])
+
+
+class TestBatchTransforms:
+    """The grouped per-axis transform against the dense Kronecker matrices."""
+
+    @given(_dims(), st.sampled_from([0, 1, 7, 40]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_matches_dense_matrices(self, dims, count, seed):
+        q, n = dims
+        rows = np.random.default_rng(seed).integers(0, q, size=(count, q**n))
+        np.testing.assert_array_equal(
+            alg.batch_evaluate(q, n, rows), rows @ alg.eval_matrix(q, n).T % q
+        )
+        np.testing.assert_array_equal(
+            alg.batch_interpolate(q, n, rows), rows @ alg.interp_matrix(q, n).T % q
+        )
+
+    def test_one_row_and_many_rows_agree(self):
+        rng = np.random.default_rng(3)
+        for q, n in ((2, 7), (3, 4), (5, 3)):
+            rows = rng.integers(0, q, size=(5, q**n))
+            batch = alg.batch_interpolate(q, n, rows)
+            for row, coeffs in zip(rows, batch):
+                np.testing.assert_array_equal(
+                    alg.interpolate(EvalTable(q, n, row)).coeffs, coeffs
+                )
+                assert Polynomial(q, n, coeffs).evaluate_all() == EvalTable(q, n, row)
+
+    def test_roundtrip_memory_stays_linear(self):
+        # a dense transform matrix at (2, 12) alone would take 128 MB
+        q, n = 2, 12
+        rows = np.random.default_rng(0).integers(0, q, size=(8, q**n))
+        tracemalloc.start()
+        try:
+            back = alg.batch_interpolate(q, n, alg.batch_evaluate(q, n, rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back, rows)
+        assert peak < 16 * 2**20
 
 
 class TestRestrict:

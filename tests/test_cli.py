@@ -100,6 +100,15 @@ class TestTestEKCommand:
         )
         assert code == 1
 
+    def test_expect_max_failure_exit_code(self, hard_poly, tmp_path):
+        out = tmp_path / "t.json"
+        code = run_cli(
+            "test-ek", "--poly", hard_poly, "--d", "1", "--e", "1", "--k", "1",
+            "--exact", "--expect-max", "0.4", "--quiet", "--json", str(out),
+        )
+        assert code == 1
+        assert json.loads(out.read_text())["relation_held"] is False
+
     def test_csv_report(self, hard_poly, tmp_path):
         out = tmp_path / "t.csv"
         run_cli(
@@ -130,6 +139,13 @@ class TestOtherCommands:
                        "--h", "0,1", "--exact", "--quiet", "--json", str(out)) == 0
         rep = json.loads(out.read_text())
         assert rep["p_exact"] == "1/2"
+
+    def test_corr_h_expect_max_failure(self, hard_poly, tmp_path):
+        out = tmp_path / "c.json"
+        assert run_cli("corr-h", "--poly", hard_poly, "--d", "1", "--e", "1",
+                       "--h", "0,1", "--exact", "--expect-max", "0.25",
+                       "--quiet", "--json", str(out)) == 1
+        assert json.loads(out.read_text())["relation_held"] is False
 
     def test_robust_with_reduction(self, cube_poly, tmp_path):
         out = tmp_path / "r.json"

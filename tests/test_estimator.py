@@ -1,12 +1,9 @@
-"""Seeded estimation, Wilson intervals and the exact/sampled dispatch."""
-
-from fractions import Fraction
+"""Seeded estimation, Wilson intervals and the enumeration budget."""
 
 import pytest
 
 from rmtest.estimator import (
     estimate,
-    exact_or_sample,
     get_budget,
     mix64,
     trial_rng,
@@ -64,28 +61,12 @@ class TestWilson:
 
 
 class TestDispatch:
-    def test_small_instance_exact(self):
-        res = exact_or_sample(
-            8, lambda: Fraction(1, 2), lambda rng: True, 100, 0
-        )
-        assert res.mode == "exact"
-        assert res.p_hat == Fraction(1, 2)
-        assert res.enumeration_count == 8
-
-    def test_large_instance_sampled(self):
-        big = 3 ** (2 * 22)
-        res = exact_or_sample(
-            big, lambda: Fraction(0), lambda rng: bool(rng.integers(0, 2)), 200, 5
-        )
-        assert res.mode == "sampled"
-        assert res.estimate.trials == 200
-
     def test_exact_and_sampled_agree_within_interval(self):
         def coin(rng):
             return bool(rng.integers(0, 2))
 
-        sampled = exact_or_sample(10**9, lambda: None, coin, 2000, 11)
-        assert sampled.estimate.ci_low <= 0.5 <= sampled.estimate.ci_high
+        sampled = estimate(coin, 2000, 11)
+        assert sampled.ci_low <= 0.5 <= sampled.ci_high
 
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("RMTEST_BUDGET", "123")

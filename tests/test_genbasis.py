@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmtest import algebra as alg, genbasis as gb
 from rmtest.algebra import Polynomial, mul_reduced
@@ -58,6 +60,16 @@ class TestGeneralizedCoefficients:
         for f in alg.all_polynomials(2, 2):
             gen = gb.to_generalized(f, ord2)
             assert gb.from_generalized(gen, 2, 2, ord2) == f
+
+    @given(st.sampled_from([(2, 6), (3, 4), (5, 3)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_property(self, dims, seed):
+        q, n = dims
+        rng = np.random.default_rng(seed)
+        ordering = gb.FieldOrdering(q, tuple(int(x) for x in rng.permutation(q)))
+        f = alg.random_polynomial(q, n, n * (q - 1), rng)
+        gen = gb.to_generalized(f, ordering)
+        assert gb.from_generalized(gen, q, n, ordering) == f
 
     def test_degree_preserved(self):
         rng = np.random.default_rng(17)
