@@ -303,11 +303,33 @@ def degree_table(q: int, n: int) -> np.ndarray:
     return deg
 
 
+@functools.lru_cache(maxsize=None)
+def _powers(q: int, n: int) -> np.ndarray:
+    """Mixed-radix place values q^(n-1), ..., q, 1 (X_1 most significant)."""
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    powers.flags.writeable = False
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _fold(q: int) -> np.ndarray:
+    """_fold(q)[a + b] = exponent of X^a * X^b reduced by X^q -> X."""
+    fold = np.arange(2 * q - 1, dtype=np.int64)
+    fold[q:] -= q - 1
+    fold.flags.writeable = False
+    return fold
+
+
+@functools.lru_cache(maxsize=None)
 def monomial_indices_up_to_degree(q: int, n: int, d: int) -> np.ndarray:
-    """Indices of all monomials of total degree <= d (empty for d < 0)."""
+    """Indices of all monomials of total degree <= d (empty for d < 0),
+    read-only."""
     if d < 0:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(degree_table(q, n) <= d)
+        idx = np.empty(0, dtype=np.int64)
+    else:
+        idx = np.flatnonzero(degree_table(q, n) <= d)
+    idx.flags.writeable = False
+    return idx
 
 
 def transform_rows(q: int, n: int, rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -394,6 +416,17 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _wrap(cls, q: int, n: int, arr: np.ndarray) -> "Polynomial":
+        """Adopt arr without validating or copying it: (q, n) must already
+        be valid and arr a fresh int64 array of length q**n reduced mod q."""
+        arr.flags.writeable = False
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "q", q)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "coeffs", arr)
+        return poly
 
     # -- constructors -----------------------------------------------------
 
@@ -489,8 +522,10 @@ class Polynomial:
     @property
     def degree(self):
         """Total degree; the zero polynomial has degree -inf."""
-        d = batch_degrees(self.q, self.n, self.coeffs[None, :])[0]
-        return NEG_INF if d < 0 else int(d)
+        nz = self.coeffs.nonzero()[0]
+        if len(nz) == 0:
+            return NEG_INF
+        return int(degree_table(self.q, self.n)[nz].max())
 
     def leading_monomial(self) -> Monomial:
         """Graded-lex-largest monomial with nonzero coefficient."""
@@ -593,21 +628,21 @@ def mul_reduced(f: Polynomial, g: Polynomial) -> Polynomial:
     """Product in the quotient ring: convolution with X^q -> X folding."""
     f._check(g)
     q, n = f.q, f.n
-    fi = np.flatnonzero(f.coeffs)
-    gi = np.flatnonzero(g.coeffs)
+    fi = f.coeffs.nonzero()[0]
+    gi = g.coeffs.nonzero()[0]
     if len(fi) == 0 or len(gi) == 0:
-        return Polynomial.zero(q, n)
+        return Polynomial._wrap(q, n, np.zeros(q**n, dtype=np.int64))
     # exponent digits for the nonzero monomials of each factor
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    fe = (fi[:, None] // powers[None, :]) % q
-    ge = (gi[:, None] // powers[None, :]) % q
-    sums = fe[:, None, :] + ge[None, :, :]
-    sums = np.where(sums >= q, sums - (q - 1), sums)
-    idx = (sums * powers).sum(axis=2).ravel()
-    vals = (f.coeffs[fi][:, None] * g.coeffs[gi][None, :]).ravel()
-    coeffs = np.zeros(q**n, dtype=np.int64)
-    np.add.at(coeffs, idx, vals)
-    return Polynomial(q, n, coeffs % q)
+    powers = _powers(q, n)
+    fe = fi[:, None] // powers % q
+    ge = gi[:, None] // powers % q
+    idx = (_fold(q)[fe[:, None, :] + ge[None, :, :]] @ powers).ravel()
+    # terms are reduced below q first; a bin then takes at most 2^n terms
+    # per nonzero of f, so its sum stays below 2^50 for q**n <= DENSE_CAP
+    # and bincount's float64 accumulation is exact
+    vals = f.coeffs[fi][:, None] * g.coeffs[gi][None, :] % q
+    coeffs = np.bincount(idx, weights=vals.ravel(), minlength=q**n)
+    return Polynomial._wrap(q, n, coeffs.astype(np.int64) % q)
 
 
 def restrict(f: Polynomial, ell: Sequence[int], alpha: int) -> Polynomial:
@@ -642,8 +677,7 @@ def _restrict_by_map(f: Polynomial, a_inv: np.ndarray, alpha: int) -> Polynomial
     grid = next(coefficient_blocks(q, m, block_size=q**m))
     ys = np.concatenate([grid, np.full((len(grid), 1), alpha % q)], axis=1)
     xs = ys @ a_inv.T % q
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    vals = table[xs @ powers]
+    vals = table[xs @ _powers(q, n)]
     return interpolate(EvalTable(q, m, vals))
 
 
@@ -660,8 +694,7 @@ def restrict_to_affine(
     table = f.evaluate_all().values
     grid = next(coefficient_blocks(q, m, block_size=q**m))
     xs = (off[None, :] + grid @ dirs) % q
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    vals = table[xs @ powers]
+    vals = table[xs @ _powers(q, n)]
     return interpolate(EvalTable(q, m, vals))
 
 
@@ -672,10 +705,11 @@ def random_polynomial(
     every monomial of degree <= e, zero elsewhere."""
     if not 0 <= e <= n * (q - 1):
         raise ValueError(f"degree bound {e} outside [0, {n * (q - 1)}]")
+    ensure_prime(q)
     idx = monomial_indices_up_to_degree(q, n, e)
     coeffs = np.zeros(q**n, dtype=np.int64)
     coeffs[idx] = rng.integers(0, q, size=len(idx))
-    return Polynomial(q, n, coeffs)
+    return Polynomial._wrap(q, n, coeffs)
 
 
 # ---------------------------------------------------------------------------

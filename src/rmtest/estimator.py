@@ -2,8 +2,11 @@
 
 Every trial draws from its own RNG stream derived from (master seed, trial
 index) through a 64-bit mixing finalizer, so estimates are bit-identical
-no matter how trials are scheduled.  Intervals are Wilson score intervals,
-which stay honest near p = 0 where the soundness bounds live.
+no matter how trials are scheduled.  Philox is counter-based, so a trial's
+stream is a pure function of its key: a run builds one generator and
+re-keys it per trial instead of building one per trial.  Intervals are
+Wilson score intervals, which stay honest near p = 0 where the soundness
+bounds live.
 """
 
 from __future__ import annotations
@@ -36,10 +39,35 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _trial_key(seed: int, index: int) -> int:
+    """Philox key of trial `index` under master seed `seed`."""
+    return mix64((seed & _MASK) ^ mix64(index & _MASK))
+
+
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one trial: counter-mode split of the seed."""
-    key = mix64((seed & _MASK) ^ mix64(index & _MASK))
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_trial_key(seed, index)))
+
+
+class _TrialStream:
+    """One Philox generator re-keyed per trial of a run.
+
+    `at(seed, i)` resets counter, key, output buffer and the buffered
+    32-bit half to their values in a fresh Philox(key=_trial_key(seed, i)),
+    so it draws exactly what trial_rng(seed, i) draws.  The generator it
+    returns is the same object every time: it is valid only until the next
+    call.
+    """
+
+    def __init__(self):
+        self._bitgen = np.random.Philox(key=0)
+        self._rng = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state  # counter 0, empty buffer
+
+    def at(self, seed: int, index: int) -> np.random.Generator:
+        self._fresh["state"]["key"][0] = _trial_key(seed, index)
+        self._bitgen.state = self._fresh
+        return self._rng
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -73,12 +101,14 @@ class EstimateResult:
 def estimate(
     event: Callable[[np.random.Generator], bool], trials: int, seed: int
 ) -> EstimateResult:
-    """Run the sampler once per trial on its derived stream."""
+    """Run the sampler once per trial on its derived stream; the generator
+    an event receives is valid only during its own trial."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    stream = _TrialStream()
     successes = 0
     for i in range(trials):
-        if event(trial_rng(seed, i)):
+        if event(stream.at(seed, i)):
             successes += 1
     low, high = wilson_interval(successes, trials)
     return EstimateResult(successes, trials, Fraction(successes, trials), low, high, seed)

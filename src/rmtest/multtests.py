@@ -31,7 +31,7 @@ from .algebra import (
     restrict_to_affine,
 )
 from .errors import InfeasibleInstanceError
-from .estimator import get_budget
+from .estimator import _TrialStream, get_budget
 from .rmcode import (
     CharacterSum,
     CodeParams,
@@ -434,11 +434,10 @@ def robust_distance_experiment(
         dists = _batch_distances(prods, codewords)
         mode, samples, seed_out = "exact", len(tables), None
     else:
-        from .estimator import trial_rng
-
+        stream = _TrialStream()
         rows = []
         for i in range(trials):
-            p = random_polynomial(q, n, cfg.e, trial_rng(seed, i))
+            p = random_polynomial(q, n, cfg.e, stream.at(seed, i))
             rows.append(mul_reduced(f, p).evaluate_all().values)
         dists = _batch_distances(np.stack(rows), codewords)
         mode, samples, seed_out = "sampled", trials, seed

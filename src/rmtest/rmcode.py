@@ -291,7 +291,9 @@ def character_membership(
     gen = generator_matrix(dual)
     rng = trial_rng(seed, 0)
     coeffs = rng.integers(0, q, size=(trials, len(gen)))
-    residues = (coeffs @ gen % q) @ ftab % q
+    # exact by associativity mod q: one matrix-vector product per dual
+    # basis word instead of one codeword table per draw
+    residues = coeffs @ (gen @ ftab % q) % q
     cs = _character_counts(q, residues)
     return CharacterSum(q, cs.counts, cs.total, "sampled")
 

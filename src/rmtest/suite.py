@@ -92,6 +92,11 @@ def criterion_dominating_sets() -> dict:
     }
 
 
+# Bytes of f*P tables interpolated per call in _drop_bound_sweep; the
+# transform and the degree scan hold about two more arrays of this size.
+_DROP_BLOCK_BYTES = 2 << 20
+
+
 def _drop_bound_sweep(q: int, n: int, f_degree_cap: int, e_values) -> dict:
     """Exact degree-drop probabilities vs the leading-monomial bound for
     every nonzero f with degree <= cap, fully vectorized."""
@@ -106,6 +111,8 @@ def _drop_bound_sweep(q: int, n: int, f_degree_cap: int, e_values) -> dict:
     deg_tab = alg.degree_table(q, n)
     score = (fcoeffs != 0) * ((deg_tab + 1) * K + np.arange(K) + 1)
     lm_code = (score.max(axis=1) - 1) % K  # LM monomial index (valid when f != 0)
+    block = max(1, _DROP_BLOCK_BYTES // ftables.nbytes)  # multipliers per block
+    row_base = np.arange(len(rows)) * (nq + 2)
 
     violations = 0
     checked = 0
@@ -113,13 +120,19 @@ def _drop_bound_sweep(q: int, n: int, f_degree_cap: int, e_values) -> dict:
     for e in e_values:
         multipliers = CodeParams(q, n, e)
         total = multipliers.size
-        hist = np.zeros((len(rows), nq + 2), dtype=np.int64)
-        for _, ptabs in rmcode.codeword_tables(multipliers):
-            for ptab in ptabs:
-                prods = ftables * ptab[None, :] % q
-                degs = alg.batch_degrees(q, n, alg.batch_interpolate(q, n, prods))
-                for t in range(-1, nq + 1):
-                    hist[:, t + 1] += degs == t
+        # hist[j, t + 1] = multipliers P with deg(f_j P) = t (t = -1: zero);
+        # one interpolation per block of multipliers
+        hist = np.zeros(len(rows) * (nq + 2), dtype=np.int64)
+        for _, tables in rmcode.codeword_tables(multipliers):
+            for start in range(0, len(tables), block):
+                ptabs = tables[start : start + block]
+                prods = ftables[None, :, :] * ptabs[:, None, :] % q
+                degs = alg.batch_degrees(
+                    q, n, alg.batch_interpolate(q, n, prods.reshape(-1, K))
+                )
+                cells = row_base + degs.reshape(len(ptabs), len(rows)) + 1
+                hist += np.bincount(cells.ravel(), minlength=hist.size)
+        hist = hist.reshape(len(rows), nq + 2)
         cum = np.cumsum(hist, axis=1)
         bound_pow = {}
         for mi in np.unique(lm_code[fdegs >= 0]):
@@ -408,6 +421,11 @@ def _residue_columns(res: np.ndarray, q: int) -> np.ndarray:
     return counts.reshape(cols, q).T
 
 
+# Functions per block in criterion_squaring_chain: at (3, 2) its pair
+# matrices are 729 x _SQUARING_BLOCK (3 MB of int64 each), not 729 x 19683.
+_SQUARING_BLOCK = 512
+
+
 def criterion_squaring_chain() -> dict:
     """Squaring identities for the character averages: the affine base case
     is an exact equality and the two-step inequality holds, for every
@@ -418,41 +436,41 @@ def criterion_squaring_chain() -> dict:
     step_checked = 0
     for q, n in ((2, 1), (2, 2), (3, 1), (3, 2)):
         K = q**n
-        # all function tables = all vectors
-        F = np.concatenate(list(alg.coefficient_blocks(q, K)), axis=0).astype(float)
-        for e in (0, 1):
-            T = mt._degree_tables(q, n, e).astype(float)
-            IP = (T @ F.T) % q  # <P_i, f_j>
-            S = F.sum(axis=1) % q  # <1, f_j>
-            for a in range(1, q):
-                for b in range(q):
-                    R = (a * IP + b * S[None, :]) % q
-                    vals = _cyclo_values(_residue_columns(R.astype(np.int64), q), q)
-                    lhs = np.abs(vals) ** 2
-                    R0 = (a * IP) % q
-                    rhs = _cyclo_values(_residue_columns(R0.astype(np.int64), q), q)
-                    ok &= bool(np.all(np.abs(lhs - rhs) < tol))
-                    base_checked += F.shape[0]
-            if q == 3:
-                # two-step: |avg w^{<g(P),f>}|^4 <= Re avg w^{<2 g2 P1P2, f>}
-                T2 = (T[:, None, :] * T[None, :, :] % q).reshape(-1, K)
-                IP2 = (T2 @ F.T) % q
-                for g2 in range(1, q):
-                    scal = (2 * g2) % q
-                    R2 = (scal * IP2) % q
-                    rhs = _cyclo_values(_residue_columns(R2.astype(np.int64), q), q)
-                    for g1 in range(q):
-                        for g0 in range(q):
-                            h = mt.UnivariatePoly(q, (g0, g1, g2))
-                            gt = h.value_table()[T.astype(np.int64)]
-                            Rg = (gt.astype(float) @ F.T) % q
-                            vals = _cyclo_values(
-                                _residue_columns(Rg.astype(np.int64), q), q
-                            )
-                            lhs = np.abs(vals) ** 4
-                            ok &= bool(np.all(lhs <= rhs.real + tol))
-                            ok &= bool(np.all(np.abs(rhs.imag) < tol))
-                            step_checked += F.shape[0]
+        # all function tables = all vectors, a fixed block at a time: every
+        # check below is per function (per column of IP), so blocks only
+        # bound the memory
+        for F in alg.coefficient_blocks(q, K, block_size=_SQUARING_BLOCK):
+            for e in (0, 1):
+                T = mt._degree_tables(q, n, e)
+                IP = (T @ F.T) % q  # <P_i, f_j>
+                S = F.sum(axis=1) % q  # <1, f_j>
+                for a in range(1, q):
+                    for b in range(q):
+                        R = (a * IP + b * S[None, :]) % q
+                        vals = _cyclo_values(_residue_columns(R, q), q)
+                        lhs = np.abs(vals) ** 2
+                        R0 = (a * IP) % q
+                        rhs = _cyclo_values(_residue_columns(R0, q), q)
+                        ok &= bool(np.all(np.abs(lhs - rhs) < tol))
+                        base_checked += F.shape[0]
+                if q == 3:
+                    # two-step: |avg w^{<g(P),f>}|^4 <= Re avg w^{<2 g2 P1P2, f>}
+                    T2 = (T[:, None, :] * T[None, :, :] % q).reshape(-1, K)
+                    IP2 = (T2 @ F.T) % q
+                    for g2 in range(1, q):
+                        scal = (2 * g2) % q
+                        R2 = (scal * IP2) % q
+                        rhs = _cyclo_values(_residue_columns(R2, q), q)
+                        for g1 in range(q):
+                            for g0 in range(q):
+                                h = mt.UnivariatePoly(q, (g0, g1, g2))
+                                gt = h.value_table()[T]
+                                Rg = (gt @ F.T) % q
+                                vals = _cyclo_values(_residue_columns(Rg, q), q)
+                                lhs = np.abs(vals) ** 4
+                                ok &= bool(np.all(lhs <= rhs.real + tol))
+                                ok &= bool(np.all(np.abs(rhs.imag) < tol))
+                                step_checked += F.shape[0]
     return {
         "name": "squaring_chain",
         "passed": ok,

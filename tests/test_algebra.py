@@ -54,8 +54,22 @@ class TestReducedProduct:
     def test_params_mismatch(self):
         with pytest.raises(ParamsMismatchError):
             alg.mul_reduced(Polynomial.one(2, 2), Polynomial.one(3, 2))
+        with pytest.raises(ParamsMismatchError):
+            alg.mul_reduced(Polynomial.one(2, 2), Polynomial.one(2, 3))
 
-    @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_products_and_samples_are_read_only(self):
+        x, y = Polynomial.variable(3, 2, 0), Polynomial.variable(3, 2, 1)
+        outputs = [
+            alg.mul_reduced(x, y),
+            alg.mul_reduced(x, Polynomial.zero(3, 2)),
+            alg.random_polynomial(3, 2, 2, np.random.default_rng(0)),
+        ]
+        for f in outputs:
+            assert not f.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                f.coeffs[0] = 1
+
+    @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 1), (3, 2), (257, 1)])
     def test_ring_isomorphism_exhaustive_small(self, q, n):
         polys = list(alg.all_polynomials(q, n)) if q**(q**n) <= 7_000_000 else None
         if polys is None or len(polys) > 300:
@@ -146,6 +160,19 @@ class TestLeadingMonomial:
                 continue
             expected = max(m.degree for m, _ in f.terms())
             assert f.degree == expected == f.leading_monomial().degree
+
+    def test_degree_matches_batch_degrees(self):
+        rng = np.random.default_rng(5)
+        for q, n in ((2, 3), (3, 2), (5, 2)):
+            polys = [Polynomial.zero(q, n), Polynomial.constant(q, n, 1)] + [
+                alg.random_polynomial(q, n, e, rng)
+                for e in range(n * (q - 1) + 1)
+                for _ in range(3)
+            ]
+            degs = alg.batch_degrees(q, n, np.stack([f.coeffs for f in polys]))
+            assert [f.degree for f in polys] == [
+                alg.NEG_INF if d < 0 else int(d) for d in degs
+            ]
 
 
 class TestTransforms:

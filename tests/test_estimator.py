@@ -2,6 +2,7 @@
 
 import pytest
 
+from rmtest import algebra as alg
 from rmtest.estimator import (
     estimate,
     get_budget,
@@ -42,6 +43,48 @@ class TestEstimate:
     def test_mix64_spreads(self):
         outs = {mix64(x) for x in range(1000)}
         assert len(outs) == 1000
+
+
+DRAWS = {
+    "integers_q2": lambda rng: rng.integers(0, 2, size=5).tolist(),
+    "integers_q3": lambda rng: rng.integers(0, 3, size=5).tolist(),
+    "integers_q5": lambda rng: rng.integers(0, 5, size=5).tolist(),
+    "random": lambda rng: rng.random(3).tolist(),
+    "choice": lambda rng: rng.choice(10, size=4, replace=False).tolist(),
+}
+
+
+class TestTrialStream:
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    def test_estimate_draws_what_trial_rng_draws(self, name):
+        draw = DRAWS[name]
+        seen = []
+        estimate(lambda rng: seen.append(draw(rng)), 12, 5)
+        assert seen == [draw(trial_rng(5, i)) for i in range(12)]
+
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    def test_buffered_half_word_does_not_leak_into_the_next_trial(self, name):
+        draw = DRAWS[name]
+        seen = []
+
+        def event(rng):
+            seen.append(draw(rng))
+            # leave an odd number of 32-bit draws: half a word stays buffered
+            while not rng.bit_generator.state["has_uint32"]:
+                rng.integers(0, 3)
+
+        estimate(event, 12, 6)
+        assert seen == [draw(trial_rng(6, i)) for i in range(12)]
+
+    def test_successes_equal_the_naive_loop(self):
+        f = alg.Polynomial.variable(2, 3, 0) + alg.Polynomial.one(2, 3)
+
+        def event(rng):
+            return alg.mul_reduced(f, alg.random_polynomial(2, 3, 1, rng)).degree <= 1
+
+        naive = sum(event(trial_rng(13, i)) for i in range(400))
+        assert 0 < naive < 400
+        assert estimate(event, 400, 13).successes == naive
 
 
 class TestWilson:

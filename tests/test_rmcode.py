@@ -1,10 +1,12 @@
 """Code membership, exact distances, duality and character indicators."""
 
+import numpy as np
 import pytest
 
 from rmtest import algebra as alg, rmcode
 from rmtest.algebra import Polynomial
 from rmtest.errors import InfeasibleInstanceError
+from rmtest.estimator import trial_rng
 from rmtest.rmcode import CodeParams
 
 
@@ -151,6 +153,18 @@ class TestCharacterMembership:
         assert cs.mode == "sampled"
         assert cs.total == 500
         assert abs(cs.value()) < 0.2
+
+    @pytest.mark.parametrize("q, n, d", [(2, 8, 2), (3, 4, 1)])
+    def test_sampled_counts_match_the_two_step_route(self, q, n, d):
+        code = CodeParams(q, n, d)
+        values = np.random.default_rng(q * 100 + n).integers(0, q, size=q**n)
+        f = alg.interpolate(alg.EvalTable(q, n, values))
+        cs = rmcode.character_membership(f, code, trials=400, seed=3)
+        gen = rmcode.generator_matrix(rmcode.dual_code(code))
+        coeffs = trial_rng(3, 0).integers(0, q, size=(400, len(gen)))
+        residues = (coeffs @ gen % q) @ values % q
+        assert cs.counts == tuple(int(c) for c in np.bincount(residues, minlength=q))
+        assert min(cs.counts) > 0
 
     def test_rational_reading(self):
         cs = rmcode.CharacterSum(3, (5, 2, 2), 9)

@@ -1,5 +1,6 @@
 """Internal consistency of the acceptance battery's vectorized sweeps."""
 
+import tracemalloc
 from fractions import Fraction
 
 from rmtest import algebra as alg, suite, sztest
@@ -22,6 +23,24 @@ def test_vectorized_sweep_matches_module_op():
     assert rep["checked"] == checked == 30
     assert rep["violations"] == violations == 0
     assert rep["bound_met_with_equality"] == equalities
+
+
+def test_sweep_does_not_depend_on_the_block_size(monkeypatch):
+    ref = suite._drop_bound_sweep(3, 2, 2, (1, 2))
+    monkeypatch.setattr(suite, "_DROP_BLOCK_BYTES", 1)  # one multiplier a block
+    assert suite._drop_bound_sweep(3, 2, 2, (1, 2)) == ref
+
+
+def test_squaring_chain_memory_is_bounded():
+    # all 19683 functions over (3, 2) at once take about 470 MB here
+    tracemalloc.start()
+    try:
+        rep = suite.criterion_squaring_chain()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"]
+    assert peak < 64 * 2**20
 
 
 def test_criterion_reports_are_json_ready():
