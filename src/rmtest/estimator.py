@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InfeasibleInstanceError
+
 DEFAULT_BUDGET = 1 << 24
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MASK = (1 << 64) - 1
@@ -29,6 +31,14 @@ def get_budget(override: int | None = None) -> int:
         return int(override)
     env = os.environ.get("RMTEST_BUDGET")
     return int(env) if env else DEFAULT_BUDGET
+
+
+def check_budget(required: int, budget: int | None, what: str) -> None:
+    """Raise InfeasibleInstanceError when an enumeration of `required`
+    items exceeds get_budget(budget)."""
+    cap = get_budget(budget)
+    if required > cap:
+        raise InfeasibleInstanceError(required, cap, what)
 
 
 def mix64(z: int) -> int:

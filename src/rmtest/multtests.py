@@ -19,7 +19,7 @@ from statistics import median
 
 import numpy as np
 
-from . import combin
+from . import combin, rmcode
 from .algebra import (
     Polynomial,
     batch_degrees,
@@ -30,14 +30,15 @@ from .algebra import (
     random_polynomial,
     restrict_to_affine,
 )
-from .errors import InfeasibleInstanceError
-from .estimator import _TrialStream, get_budget
+from .estimator import _TrialStream, check_budget
 from .rmcode import (
     CharacterSum,
     CodeParams,
     _character_counts,
     codeword_tables,
     dual_code,
+    generator_matrix,
+    product_degree_counts,
 )
 
 DEFAULT_CQ = 6  # stand-in for the nonconstructive restriction constant
@@ -130,28 +131,27 @@ def exact_acceptance_probability(
 ) -> Fraction:
     """Acceptance probability by enumerating every multiplier tuple.
 
-    The outer multipliers are iterated one at a time and partial product
-    tables reused; the innermost level is counted in bulk.
+    The outer k-1 multipliers are enumerated as blocks of partial product
+    tables f*P_1*...*P_{k-1}; the last one is counted for a whole block at
+    once by product_degree_counts.
     """
     q, n = cfg.code.q, cfg.code.n
     count = q ** combin.monomial_count(q, n, cfg.e)
     total = count**cfg.k
-    if total > get_budget(budget):
-        raise InfeasibleInstanceError(total, get_budget(budget), "tuple enumeration")
-    tables = _degree_tables(q, n, cfg.e)
-    threshold = cfg.target_degree
-
-    def count_accept(partial: np.ndarray, k_left: int) -> int:
-        if k_left == 1:
-            prods = tables * partial[None, :] % q
-            degs = batch_degrees(q, n, batch_interpolate(q, n, prods))
-            return int(np.count_nonzero(degs <= threshold))
-        return sum(
-            count_accept(partial * tables[i] % q, k_left - 1)
-            for i in range(len(tables))
-        )
-
-    accepted = count_accept(f.evaluate_all().values, cfg.k)
+    check_budget(total, budget, "tuple enumeration")
+    K = q**n
+    gen = generator_matrix(CodeParams(q, n, min(cfg.e, n * (q - 1))))
+    M = len(gen)
+    ftab = f.evaluate_all().values
+    accepted = 0
+    for block in coefficient_blocks(
+        q, (cfg.k - 1) * M, max(1, rmcode._PRODUCT_BLOCK_CELLS // K)
+    ):
+        partial = np.broadcast_to(ftab, (len(block), K))
+        for i in range(cfg.k - 1):
+            partial = partial * (block[:, i * M : (i + 1) * M] @ gen) % q
+        hist = product_degree_counts(q, n, cfg.e, partial)
+        accepted += int(hist[:, : cfg.target_degree + 2].sum())
     return Fraction(accepted, total)
 
 
@@ -174,8 +174,7 @@ def subspace_vanishing_probability(
     L-dimensional subspace fixing the first n-L coordinates; the exact
     value is q^(-monomial_count(q, L, e))."""
     count = q ** combin.monomial_count(q, n, e)
-    if count > get_budget(budget):
-        raise InfeasibleInstanceError(count, get_budget(budget), "multiplier enumeration")
+    check_budget(count, budget, "multiplier enumeration")
     tables = _degree_tables(q, n, e)
     # points of the subspace: first n-L coordinates zero
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -310,14 +309,12 @@ def exact_corr_h_probability(
     if h.degree >= q:
         raise ValueError(f"shape degree must be below q, got {h.degree}")
     count = q ** combin.monomial_count(q, n, cfg.e)
-    if count > get_budget(budget):
-        raise InfeasibleInstanceError(count, get_budget(budget), "multiplier enumeration")
-    tables = _degree_tables(q, n, cfg.e)
-    comp = h.value_table()[tables]
-    prods = comp * f.evaluate_all().values[None, :] % q
-    degs = batch_degrees(q, n, batch_interpolate(q, n, prods))
+    check_budget(count, budget, "multiplier enumeration")
+    hist = product_degree_counts(
+        q, n, cfg.e, f.evaluate_all().values[None, :], shape=h.value_table()
+    )
     threshold = cfg.code.d + cfg.e * h.degree
-    return Fraction(int(np.count_nonzero(degs <= threshold)), count)
+    return Fraction(int(hist[0, : threshold + 2].sum()), count)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +328,7 @@ def raw_character_average(
     """Average over uniform degree-<=e multipliers P of omega^<g(P), f>."""
     q, n = f.q, f.n
     count = q ** combin.monomial_count(q, n, e)
-    if count > get_budget(budget):
-        raise InfeasibleInstanceError(count, get_budget(budget), "multiplier enumeration")
+    check_budget(count, budget, "multiplier enumeration")
     tables = _degree_tables(q, n, e)
     comp = g.value_table()[tables]
     residues = comp @ f.evaluate_all().values % q
@@ -345,8 +341,7 @@ def pair_character_average(
     """Average over independent P1, P2 of omega^<scalar * P1 * P2, f>."""
     q, n = f.q, f.n
     count = q ** combin.monomial_count(q, n, e)
-    if count**2 > get_budget(budget):
-        raise InfeasibleInstanceError(count**2, get_budget(budget), "pair enumeration")
+    check_budget(count**2, budget, "pair enumeration")
     tables = _degree_tables(q, n, e)
     weighted = tables * f.evaluate_all().values[None, :] * (scalar % q) % q
     residues = weighted @ tables.T % q
@@ -369,10 +364,7 @@ def character_average(
     dual = dual_code(CodeParams(q, n, target_d))
     count = q ** combin.monomial_count(q, n, cfg.e)
     dual_count = 1 if dual is None else dual.size
-    if count * dual_count > get_budget(budget):
-        raise InfeasibleInstanceError(
-            count * dual_count, get_budget(budget), "double enumeration"
-        )
+    check_budget(count * dual_count, budget, "double enumeration")
     tables = _degree_tables(q, n, cfg.e)
     prods = h.value_table()[tables] * f.evaluate_all().values[None, :] % q
     if dual is None:
@@ -417,18 +409,13 @@ def robust_distance_experiment(
     if cfg.k != 1:
         raise ValueError("the robustness experiment multiplies by a single P")
     q, n = cfg.code.q, cfg.code.n
-    budget = get_budget(budget)
     target = CodeParams(q, n, min(cfg.code.d + cfg.e, n * (q - 1)))
-    if target.size > budget:
-        raise InfeasibleInstanceError(target.size, budget, "coset enumeration")
+    check_budget(target.size, budget, "coset enumeration")
     codewords = _degree_tables(q, n, target.d)
     ftab = f.evaluate_all().values
     if trials is None:
         count = q ** combin.monomial_count(q, n, cfg.e)
-        if count * len(codewords) > budget:
-            raise InfeasibleInstanceError(
-                count * len(codewords), budget, "multiplier x coset enumeration"
-            )
+        check_budget(count * len(codewords), budget, "multiplier x coset enumeration")
         tables = _degree_tables(q, n, cfg.e)
         prods = tables * ftab[None, :] % q
         dists = _batch_distances(prods, codewords)
@@ -540,10 +527,7 @@ def akklr_exact_rejection_probability(
         raise ValueError(f"need d+1 <= n, got d={d}, n={n}")
     dim = d + 1
     total_dirs = q ** (dim * n)
-    if total_dirs * q**n > get_budget(budget):
-        raise InfeasibleInstanceError(
-            total_dirs * q**n, get_budget(budget), "subspace enumeration"
-        )
+    check_budget(total_dirs * q**n, budget, "subspace enumeration")
     ftab = f.evaluate_all().values
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     grid = next(coefficient_blocks(q, dim, block_size=q**dim))

@@ -21,13 +21,19 @@ from . import combin
 from .algebra import (
     FieldElement,
     Polynomial,
+    batch_degrees,
     batch_evaluate,
+    batch_interpolate,
     coefficient_blocks,
     ensure_prime,
     monomial_indices_up_to_degree,
 )
-from .errors import InfeasibleInstanceError
-from .estimator import get_budget, trial_rng
+from .estimator import check_budget, get_budget, trial_rng
+
+# Product table cells (2 MB of int64) interpolated per call in
+# product_degree_counts; the transform and the degree scan hold about two
+# more arrays of this size.
+_PRODUCT_BLOCK_CELLS = (2 << 20) // 8
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,40 @@ def codeword_tables(code: CodeParams):
         yield block, tables
 
 
+def product_degree_counts(
+    q: int, n: int, e: int, ftables: np.ndarray, shape: np.ndarray | None = None
+) -> np.ndarray:
+    """hist[j, t + 1] = number of multipliers P of degree <= min(e, n(q-1))
+    with deg(f_j * shape(P)) = t, t = -1 for the zero product.
+
+    ftables holds one evaluation table f_j per row; shape is a table of
+    values applied pointwise to P (the identity when None).  The multipliers
+    are streamed, _PRODUCT_BLOCK_CELLS product cells per interpolation, so
+    memory does not grow with their number.
+    """
+    K = q**n
+    nq = n * (q - 1)
+    rows = len(ftables)
+    row_base = np.arange(rows) * (nq + 2) + 1
+    block = max(1, _PRODUCT_BLOCK_CELLS // (rows * K))  # multipliers per call
+    hist = np.zeros(rows * (nq + 2), dtype=np.int64)
+    for _, tables in codeword_tables(CodeParams(q, n, min(e, nq))):
+        if shape is not None:
+            tables = shape[tables]
+        for start in range(0, len(tables), block):
+            ptabs = tables[start : start + block]
+            prods = ftables[None, :, :] * ptabs[:, None, :] % q
+            degs = batch_degrees(q, n, batch_interpolate(q, n, prods.reshape(-1, K)))
+            cells = degs.reshape(len(ptabs), rows) + row_base
+            hist += np.bincount(cells.ravel(), minlength=hist.size)
+    return hist.reshape(rows, nq + 2)
+
+
 def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> DistanceResult:
     """Exact distance to the code by enumerating the coset of f."""
     if f.q != code.q or f.n != code.n:
         raise ValueError("polynomial and code parameters disagree")
-    budget = get_budget(budget)
-    if code.size > budget:
-        raise InfeasibleInstanceError(code.size, budget, "coset enumeration")
+    check_budget(code.size, budget, "coset enumeration")
     q, n = code.q, code.n
     ftab = f.evaluate_all().values
     best = None
@@ -121,9 +154,7 @@ def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> Dist
 
 def weight_distribution(code: CodeParams, budget: int | None = None) -> np.ndarray:
     """counts[w] = number of codewords of Hamming weight w, by enumeration."""
-    budget = get_budget(budget)
-    if code.size > budget:
-        raise InfeasibleInstanceError(code.size, budget, "code enumeration")
+    check_budget(code.size, budget, "code enumeration")
     counts = np.zeros(code.q**code.n + 1, dtype=object)
     for _, tables in codeword_tables(code):
         w = np.count_nonzero(tables, axis=1)
@@ -181,10 +212,8 @@ def min_weight(code: CodeParams, budget: int | None = None) -> int:
             dual_counts = np.zeros(npoints + 1, dtype=object)
             dual_counts[0] = 1
         else:
-            if dual.size > budget:
-                raise InfeasibleInstanceError(
-                    min(code.size, dual.size), budget, "code/dual enumeration"
-                )
+            # code.size > budget here, so this is dual.size > budget
+            check_budget(min(code.size, dual.size), budget, "code/dual enumeration")
             _assert_duality(code, dual)
             dual_counts = weight_distribution(dual, budget)
         counts = macwilliams_transform(dual_counts, code.q, npoints)
@@ -281,9 +310,7 @@ def character_membership(
         counts = tuple([total] + [0] * (q - 1))
         return CharacterSum(q, counts, total, "exact" if trials is None else "sampled")
     if trials is None:
-        budget = get_budget(budget)
-        if dual.size > budget:
-            raise InfeasibleInstanceError(dual.size, budget, "dual enumeration")
+        check_budget(dual.size, budget, "dual enumeration")
         residues = []
         for _, tables in codeword_tables(dual):
             residues.append(tables @ ftab % q)

@@ -22,8 +22,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .algebra import ensure_prime
-from .errors import InfeasibleInstanceError, StructureError
-from .estimator import get_budget
+from .errors import StructureError
+from .estimator import check_budget
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,9 @@ def homogenization_chain(
     return chain
 
 
-def _assignment_rows(q: int, n_vars: int, budget: int) -> np.ndarray:
+def _assignment_rows(q: int, n_vars: int, budget: int | None) -> np.ndarray:
     total = q**n_vars
-    if total > budget:
-        raise InfeasibleInstanceError(total, budget, "assignment enumeration")
+    check_budget(total, budget, "assignment enumeration")
     powers = q ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)
     idx = np.arange(total, dtype=np.int64)
     return (idx[:, None] // powers[None, :]) % q
@@ -159,7 +158,7 @@ def vanishing_probability(
 ) -> Fraction:
     """Probability over uniform assignments that every polynomial vanishes."""
     polys = list(polys)
-    rows = _assignment_rows(part.q, part.n_vars, get_budget(budget))
+    rows = _assignment_rows(part.q, part.n_vars, budget)
     good = np.ones(len(rows), dtype=bool)
     for p in polys:
         good &= p.evaluate_rows(rows) == 0

@@ -14,12 +14,8 @@ import numpy as np
 from . import algebra as alg
 from . import combin, genbasis, multtests as mt, rmcode, setmultilin as sml, sztest
 from .algebra import Monomial, Polynomial
-from .estimator import estimate, get_budget, mix64
+from .estimator import estimate, get_budget, mix64, trial_rng
 from .rmcode import CodeParams
-
-
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=mix64(seed ^ mix64(tag))))
 
 
 def _frac(x: Fraction) -> str:
@@ -92,11 +88,6 @@ def criterion_dominating_sets() -> dict:
     }
 
 
-# Bytes of f*P tables interpolated per call in _drop_bound_sweep; the
-# transform and the degree scan hold about two more arrays of this size.
-_DROP_BLOCK_BYTES = 2 << 20
-
-
 def _drop_bound_sweep(q: int, n: int, f_degree_cap: int, e_values) -> dict:
     """Exact degree-drop probabilities vs the leading-monomial bound for
     every nonzero f with degree <= cap, fully vectorized."""
@@ -111,28 +102,13 @@ def _drop_bound_sweep(q: int, n: int, f_degree_cap: int, e_values) -> dict:
     deg_tab = alg.degree_table(q, n)
     score = (fcoeffs != 0) * ((deg_tab + 1) * K + np.arange(K) + 1)
     lm_code = (score.max(axis=1) - 1) % K  # LM monomial index (valid when f != 0)
-    block = max(1, _DROP_BLOCK_BYTES // ftables.nbytes)  # multipliers per block
-    row_base = np.arange(len(rows)) * (nq + 2)
 
     violations = 0
     checked = 0
     equalities = 0
     for e in e_values:
-        multipliers = CodeParams(q, n, e)
-        total = multipliers.size
-        # hist[j, t + 1] = multipliers P with deg(f_j P) = t (t = -1: zero);
-        # one interpolation per block of multipliers
-        hist = np.zeros(len(rows) * (nq + 2), dtype=np.int64)
-        for _, tables in rmcode.codeword_tables(multipliers):
-            for start in range(0, len(tables), block):
-                ptabs = tables[start : start + block]
-                prods = ftables[None, :, :] * ptabs[:, None, :] % q
-                degs = alg.batch_degrees(
-                    q, n, alg.batch_interpolate(q, n, prods.reshape(-1, K))
-                )
-                cells = row_base + degs.reshape(len(ptabs), len(rows)) + 1
-                hist += np.bincount(cells.ravel(), minlength=hist.size)
-        hist = hist.reshape(len(rows), nq + 2)
+        total = CodeParams(q, n, e).size
+        hist = rmcode.product_degree_counts(q, n, e, ftables)
         cum = np.cumsum(hist, axis=1)
         bound_pow = {}
         for mi in np.unique(lm_code[fdegs >= 0]):
@@ -288,7 +264,7 @@ def criterion_basis_structure(seed: int) -> dict:
                 ok &= all(int(gen[j]) == 0 for j in range(i))
                 ok &= int(gen[i]) == f.evaluate([ordering.xi[i]])
                 prop_checked += 1
-    rng = _rng(seed, 6001)
+    rng = trial_rng(seed, 6001)
     ordering5 = genbasis.FieldOrdering.natural(5)
     basis5 = genbasis.basis_polys(ordering5)
     for _ in range(500):
@@ -302,7 +278,7 @@ def criterion_basis_structure(seed: int) -> dict:
 
     # triangular decomposition reassembly
     ut_checked = 0
-    rng = _rng(seed, 6002)
+    rng = trial_rng(seed, 6002)
     for q in (2, 3, 5):
         ordering = genbasis.FieldOrdering.natural(q)
         for _ in range(350):
@@ -315,7 +291,7 @@ def criterion_basis_structure(seed: int) -> dict:
 
     # product components: verification is internal, diagonal nonzero asserted
     pc_checked = 0
-    rng = _rng(seed, 6003)
+    rng = trial_rng(seed, 6003)
     for q in (2, 3, 5):
         ordering = genbasis.FieldOrdering.natural(q)
         for k in (1, 2, 3):
@@ -354,7 +330,7 @@ def criterion_basis_structure(seed: int) -> dict:
 def criterion_multilinear_domination(seed: int) -> dict:
     """500 random partitioned systems: joint vanishing never beats the
     set-multilinear parts, and the block-by-block chain is monotone."""
-    rng = _rng(seed, 7001)
+    rng = trial_rng(seed, 7001)
     systems = 0
     chain_violations = 0
     while systems < 500:

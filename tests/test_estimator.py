@@ -2,8 +2,10 @@
 
 import pytest
 
-from rmtest import algebra as alg
+from rmtest import algebra as alg, multtests as mt, rmcode, setmultilin as sml, sztest
+from rmtest.errors import InfeasibleInstanceError
 from rmtest.estimator import (
+    check_budget,
     estimate,
     get_budget,
     mix64,
@@ -117,6 +119,116 @@ class TestDispatch:
         assert get_budget(999) == 999
         monkeypatch.delenv("RMTEST_BUDGET")
         assert get_budget() == 1 << 24
+
+    def test_check_budget_boundary(self, monkeypatch):
+        check_budget(10, 10, "x")
+        with pytest.raises(InfeasibleInstanceError):
+            check_budget(11, 10, "x")
+        monkeypatch.setenv("RMTEST_BUDGET", "5")
+        with pytest.raises(InfeasibleInstanceError) as exc:
+            check_budget(6, None, "x")
+        assert exc.value.budget == 5
+
+
+# f = x1 x2 over (2, 3); degree-<=1 multipliers there number 2^4 = 16
+_F = alg.Polynomial.from_terms(2, 3, {(1, 1, 0): 1})
+_CFG = mt.TestConfig(rmcode.CodeParams(2, 3, 0), e=1)
+_H = mt.UnivariatePoly(2, (0, 1))
+
+# (oracle at a given budget, budget, required, what)
+BUDGET_PATHS = {
+    "acceptance_k1": (
+        lambda b: mt.exact_acceptance_probability(_F, _CFG, b), 8, 16, "tuple enumeration"
+    ),
+    "acceptance_k2": (
+        lambda b: mt.exact_acceptance_probability(_F, mt.TestConfig(_CFG.code, 1, k=2), b),
+        100,
+        16**2,
+        "tuple enumeration",
+    ),
+    "subspace_vanishing": (
+        lambda b: mt.subspace_vanishing_probability(2, 3, 1, 1, b),
+        8,
+        16,
+        "multiplier enumeration",
+    ),
+    "corr_h": (
+        lambda b: mt.exact_corr_h_probability(_F, _CFG, _H, b),
+        8,
+        16,
+        "multiplier enumeration",
+    ),
+    "raw_character_average": (
+        lambda b: mt.raw_character_average(_F, 1, _H, b), 8, 16, "multiplier enumeration"
+    ),
+    "pair_character_average": (
+        lambda b: mt.pair_character_average(_F, 1, 1, b), 100, 16**2, "pair enumeration"
+    ),
+    # target order 1, whose dual (order 1) has 16 words
+    "character_average": (
+        lambda b: mt.character_average(_F, _CFG, _H, b), 100, 16 * 16, "double enumeration"
+    ),
+    "robust_coset": (
+        lambda b: mt.robust_distance_experiment(_F, _CFG, budget=b),
+        8,
+        16,
+        "coset enumeration",
+    ),
+    "robust_exact": (
+        lambda b: mt.robust_distance_experiment(_F, _CFG, budget=b),
+        100,
+        16 * 16,
+        "multiplier x coset enumeration",
+    ),
+    "akklr": (
+        lambda b: mt.akklr_exact_rejection_probability(_F, _CFG.code, b),
+        32,
+        2**3 * 2**3,
+        "subspace enumeration",
+    ),
+    "degree_drop": (
+        lambda b: sztest.degree_drop_probability(_F, 1, 0, budget=b),
+        8,
+        16,
+        "multiplier enumeration",
+    ),
+    "distance": (
+        lambda b: rmcode.distance(_F, rmcode.CodeParams(2, 3, 1), b), 8, 16, "coset enumeration"
+    ),
+    "weight_distribution": (
+        lambda b: rmcode.weight_distribution(rmcode.CodeParams(2, 3, 1), b),
+        8,
+        16,
+        "code enumeration",
+    ),
+    # code 2^11 words, its dual (order 1 over (2, 4)) 2^5
+    "min_weight": (
+        lambda b: rmcode.min_weight(rmcode.CodeParams(2, 4, 2), b),
+        16,
+        2**5,
+        "code/dual enumeration",
+    ),
+    "character_membership": (
+        lambda b: rmcode.character_membership(_F, rmcode.CodeParams(2, 3, 1), budget=b),
+        8,
+        16,
+        "dual enumeration",
+    ),
+    "setmultilin_vanishing": (
+        lambda b: sml.vanishing_probability([], sml.Partition(2, ((0, 1), (2,))), b),
+        4,
+        2**3,
+        "assignment enumeration",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_PATHS))
+def test_budget_paths(name):
+    oracle, budget, required, what = BUDGET_PATHS[name]
+    with pytest.raises(InfeasibleInstanceError) as exc:
+        oracle(budget)
+    assert (exc.value.required, exc.value.budget, exc.value.what) == (required, budget, what)
 
 
 class TestCalibrationMini:

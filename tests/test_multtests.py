@@ -1,6 +1,7 @@
 """The multiplier tests, their oracles, bounds and character views."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -37,16 +38,37 @@ class TestTestEK:
         assert mt.exact_acceptance_probability(Polynomial.variable(2, 2, 0), cfg) == 1
 
     def test_two_multipliers(self):
-        cfg = mt.TestConfig(CodeParams(2, 2, 0), e=1, k=2)
-        f = product_instance()
-        # oracle: brute force over both multipliers through the ring product
-        count = 0
-        polys = list(alg.all_polynomials(2, 2, 1))
-        for p1 in polys:
-            for p2 in polys:
-                prod = alg.mul_reduced(alg.mul_reduced(f, p1), p2)
-                count += prod.degree <= 2
-        assert mt.exact_acceptance_probability(f, cfg) == Fraction(count, len(polys) ** 2)
+        # oracle: brute force over every multiplier tuple through the ring
+        # product; the k = 3 case at (2, 4) is not vacuous (target 3 < 4)
+        cases = [
+            (product_instance(), mt.TestConfig(CodeParams(2, 2, 0), e=1, k=2)),
+            (
+                Polynomial.from_terms(2, 4, {(1, 1, 0, 0): 1}),
+                mt.TestConfig(CodeParams(2, 4, 0), e=1, k=3),
+            ),
+        ]
+        for f, cfg in cases:
+            polys = list(alg.all_polynomials(f.q, f.n, cfg.e))
+            partials = [f]
+            for _ in range(cfg.k):
+                partials = [alg.mul_reduced(g, p) for g in partials for p in polys]
+            count = sum(g.degree <= cfg.target_degree for g in partials)
+            assert mt.exact_acceptance_probability(f, cfg) == Fraction(
+                count, len(polys) ** cfg.k
+            )
+
+    def test_streamed_memory_is_bounded(self):
+        # 2^16 multipliers over (2, 5); the materialised tables peak at 66 MB
+        f = mt.hard_instance(2, 5, 2)
+        cfg = mt.TestConfig(CodeParams(2, 5, 1), e=2, k=1)
+        tracemalloc.start()
+        try:
+            p = mt.exact_acceptance_probability(f, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == Fraction(1, 8)
+        assert peak < 24 * 2**20
 
     def test_vacuous_flag(self):
         assert mt.TestConfig(CodeParams(2, 3, 2), e=1, k=1).vacuous

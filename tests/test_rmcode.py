@@ -1,9 +1,14 @@
 """Code membership, exact distances, duality and character indicators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rmtest import algebra as alg, rmcode
+from rmtest import algebra as alg, combin, rmcode
+from rmtest.multtests import UnivariatePoly
 from rmtest.algebra import Polynomial
 from rmtest.errors import InfeasibleInstanceError
 from rmtest.estimator import trial_rng
@@ -98,6 +103,43 @@ class TestWeightDistribution:
         # force the dual route with a small budget that still fits the dual
         code = CodeParams(3, 3, 4)  # dimension 23, dual dimension 4
         assert rmcode.min_weight(code, budget=10_000) == sz_min_weight(3, 3, 4)
+
+
+class TestProductDegreeCounts:
+    """The streamed histogram against products through the ring."""
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_ring_products(self, seed, data):
+        q, n = data.draw(
+            st.sampled_from([(q, n) for q in (2, 3, 5) for n in (1, 2, 3, 4) if q**n <= 27])
+        )
+        nq = n * (q - 1)
+        # keep the ring route at no more than 3^5 multipliers
+        es = [e for e in range(nq + 1) if q ** combin.monomial_count(q, n, e) <= 243]
+        e = data.draw(st.sampled_from(es))
+        rng = np.random.default_rng(seed)
+        fs = [
+            alg.random_polynomial(q, n, nq, rng)
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        h = None
+        if data.draw(st.booleans()):
+            hdeg = data.draw(st.integers(1, q - 1))
+            coeffs = list(rng.integers(0, q, size=hdeg)) + [int(rng.integers(1, q))]
+            h = UnivariatePoly(q, tuple(int(c) for c in coeffs))
+        want = np.zeros((len(fs), nq + 2), dtype=np.int64)
+        for p in alg.all_polynomials(q, n, e):
+            g = p if h is None else h.eval_poly(p)
+            for j, f in enumerate(fs):
+                deg = alg.mul_reduced(f, g).degree
+                want[j, 0 if deg == alg.NEG_INF else deg + 1] += 1
+        ftables = np.stack([f.evaluate_all().values for f in fs])
+        shape = None if h is None else h.value_table()
+        assert np.array_equal(rmcode.product_degree_counts(q, n, e, ftables, shape), want)
+        with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", 1):
+            got = rmcode.product_degree_counts(q, n, e, ftables, shape)
+        assert np.array_equal(got, want)
 
 
 class TestInnerProduct:

@@ -3,7 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 
-from rmtest import algebra as alg, suite, sztest
+from rmtest import algebra as alg, rmcode, suite, sztest
 
 
 def test_vectorized_sweep_matches_module_op():
@@ -27,7 +27,7 @@ def test_vectorized_sweep_matches_module_op():
 
 def test_sweep_does_not_depend_on_the_block_size(monkeypatch):
     ref = suite._drop_bound_sweep(3, 2, 2, (1, 2))
-    monkeypatch.setattr(suite, "_DROP_BLOCK_BYTES", 1)  # one multiplier a block
+    monkeypatch.setattr(rmcode, "_PRODUCT_BLOCK_CELLS", 1)  # one multiplier a block
     assert suite._drop_bound_sweep(3, 2, 2, (1, 2)) == ref
 
 
