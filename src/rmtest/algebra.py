@@ -34,6 +34,9 @@ DENSE_CAP = 1 << 24
 # transform_rows multiplies by Kronecker powers with at most this many rows.
 _KRON_ROWS = 32
 
+# mul_reduced looks products up in index tables with at most this many rows.
+_PRODUCT_ROWS = 1 << 10
+
 
 def is_prime(q: int) -> bool:
     """Primality by trial division; adequate for the small moduli used here."""
@@ -304,6 +307,26 @@ def degree_table(q: int, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _product_index(q: int, w: int) -> np.ndarray:
+    """_product_index(q, w)[i, j] = index of the reduced product X^i * X^j
+    of two monomials over w variables, read-only int32 of shape q^w x q^w.
+
+    Built one variable at a time by broadcasting; every variable folds
+    alike, so each new one is prepended as the most significant digit,
+    which keeps the long axis innermost.
+    """
+    a = np.arange(q)
+    digit = _fold(q)[a[:, None] + a[None, :]].astype(np.int32)
+    table = np.zeros((1, 1), dtype=np.int32)
+    for _ in range(w):
+        rows = len(table)
+        table = digit[:, None, :, None] * rows + table[None, :, None, :]
+        table = table.reshape(rows * q, rows * q)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
 def _powers(q: int, n: int) -> np.ndarray:
     """Mixed-radix place values q^(n-1), ..., q, 1 (X_1 most significant)."""
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -479,17 +502,17 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial(self.q, self.n, (self.coeffs + other.coeffs) % self.q)
+        return Polynomial._wrap(self.q, self.n, (self.coeffs + other.coeffs) % self.q)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial(self.q, self.n, (self.coeffs - other.coeffs) % self.q)
+        return Polynomial._wrap(self.q, self.n, (self.coeffs - other.coeffs) % self.q)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.q, self.n, (-self.coeffs) % self.q)
+        return Polynomial._wrap(self.q, self.n, -self.coeffs % self.q)
 
     def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.q, self.n, (self.coeffs * (c % self.q)) % self.q)
+        return Polynomial._wrap(self.q, self.n, self.coeffs * (c % self.q) % self.q)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return mul_reduced(self, other)
@@ -558,7 +581,7 @@ class Polynomial:
 
     def evaluate_all(self) -> "EvalTable":
         vals = transform_rows(self.q, self.n, self.coeffs, _vandermonde(self.q))
-        return EvalTable(self.q, self.n, vals)
+        return EvalTable._wrap(self.q, self.n, vals)
 
     def restrict(self, ell: Sequence[int], alpha: int) -> "Polynomial":
         return restrict(self, ell, alpha)
@@ -586,6 +609,16 @@ class EvalTable:
 
     def __setattr__(self, name, value):
         raise AttributeError("EvalTable is immutable")
+
+    @classmethod
+    def _wrap(cls, q: int, n: int, arr: np.ndarray) -> "EvalTable":
+        """Adopt arr unchecked, as Polynomial._wrap does."""
+        arr.flags.writeable = False
+        table = object.__new__(cls)
+        object.__setattr__(table, "q", q)
+        object.__setattr__(table, "n", n)
+        object.__setattr__(table, "values", arr)
+        return table
 
     def _check(self, other: "EvalTable") -> None:
         if self.q != other.q or self.n != other.n:
@@ -621,27 +654,45 @@ def evaluate_all(f: Polynomial) -> EvalTable:
 def interpolate(t: EvalTable) -> Polynomial:
     """The unique reduced polynomial with the given evaluation table."""
     coeffs = transform_rows(t.q, t.n, t.values, _vandermonde_inv(t.q))
-    return Polynomial(t.q, t.n, coeffs)
+    return Polynomial._wrap(t.q, t.n, coeffs)
 
 
 def mul_reduced(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Product in the quotient ring: convolution with X^q -> X folding."""
+    """Product in the quotient ring: convolution with X^q -> X folding.
+
+    The product index of two monomials is looked up group by group of
+    consecutive variables in _product_index tables of at most _PRODUCT_ROWS
+    rows (one lookup up to q**n = _PRODUCT_ROWS); a variable with q above
+    that folds its exponent sum through _fold(q) instead.
+    """
     f._check(g)
     q, n = f.q, f.n
     fi = f.coeffs.nonzero()[0]
     gi = g.coeffs.nonzero()[0]
     if len(fi) == 0 or len(gi) == 0:
         return Polynomial._wrap(q, n, np.zeros(q**n, dtype=np.int64))
-    # exponent digits for the nonzero monomials of each factor
-    powers = _powers(q, n)
-    fe = fi[:, None] // powers % q
-    ge = gi[:, None] // powers % q
-    idx = (_fold(q)[fe[:, None, :] + ge[None, :, :]] @ powers).ravel()
+    group = 0  # variables per table lookup; 0 when q alone exceeds the cap
+    while q ** (group + 1) <= _PRODUCT_ROWS:
+        group += 1
+    idx = np.zeros((1, 1), dtype=np.int32)  # n = 0: the constant monomial
+    for start in range(0, n, max(group, 1)):
+        width = min(group, n - start) if group else 1
+        place = q ** (n - start - width)
+        fd, gd = (fi // place, gi // place) if place > 1 else (fi, gi)
+        if start:
+            fd, gd = fd % q**width, gd % q**width
+        if group:
+            part = _product_index(q, width)[fd[:, None], gd[None, :]]
+        else:
+            part = _fold(q)[fd[:, None] + gd[None, :]]
+        if place > 1:
+            part = part * place
+        idx = idx + part if start else part
     # terms are reduced below q first; a bin then takes at most 2^n terms
     # per nonzero of f, so its sum stays below 2^50 for q**n <= DENSE_CAP
     # and bincount's float64 accumulation is exact
     vals = f.coeffs[fi][:, None] * g.coeffs[gi][None, :] % q
-    coeffs = np.bincount(idx, weights=vals.ravel(), minlength=q**n)
+    coeffs = np.bincount(idx.ravel(), weights=vals.ravel(), minlength=q**n)
     return Polynomial._wrap(q, n, coeffs.astype(np.int64) % q)
 
 

@@ -40,13 +40,6 @@ def monomial_count(q: int, n: int, d: int) -> int:
     return int(ways.sum())
 
 
-def monomial_count_exact_degree(q: int, n: int, d: int) -> int:
-    """Number of monomials of total degree exactly d."""
-    if n < 0 or d < 0:
-        return 0
-    return monomial_count(q, n, d) - monomial_count(q, n, d - 1)
-
-
 def extremal_monomial(q: int, n: int, d: int) -> Monomial:
     """The degree-d monomial packing q-1 into the earliest variables.
 

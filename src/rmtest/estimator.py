@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,8 +41,9 @@ def check_budget(required: int, budget: int | None, what: str) -> None:
         raise InfeasibleInstanceError(required, cap, what)
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer."""
+def mix64(z):
+    """splitmix64 finalizer of an int, or elementwise of a uint64 array
+    (whose arithmetic wraps mod 2^64 exactly as the masks do)."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -54,30 +55,31 @@ def _trial_key(seed: int, index: int) -> int:
     return mix64((seed & _MASK) ^ mix64(index & _MASK))
 
 
+def _trial_keys(seed: int, trials: int) -> np.ndarray:
+    """_trial_key(seed, i) for every i < trials, in one uint64 pass."""
+    return mix64((seed & _MASK) ^ mix64(np.arange(trials, dtype=np.uint64)))
+
+
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one trial: counter-mode split of the seed."""
     return np.random.Generator(np.random.Philox(key=_trial_key(seed, index)))
 
 
-class _TrialStream:
-    """One Philox generator re-keyed per trial of a run.
+def _trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """One Philox generator re-keyed for each trial i < trials of a run.
 
-    `at(seed, i)` resets counter, key, output buffer and the buffered
-    32-bit half to their values in a fresh Philox(key=_trial_key(seed, i)),
-    so it draws exactly what trial_rng(seed, i) draws.  The generator it
-    returns is the same object every time: it is valid only until the next
-    call.
+    Before trial i, counter, key, output buffer and the buffered 32-bit
+    half are reset to their values in a fresh Philox(key=_trial_key(seed,
+    i)), so it draws exactly what trial_rng(seed, i) draws.  Every trial
+    gets the same object: it is valid only until the next one.
     """
-
-    def __init__(self):
-        self._bitgen = np.random.Philox(key=0)
-        self._rng = np.random.Generator(self._bitgen)
-        self._fresh = self._bitgen.state  # counter 0, empty buffer
-
-    def at(self, seed: int, index: int) -> np.random.Generator:
-        self._fresh["state"]["key"][0] = _trial_key(seed, index)
-        self._bitgen.state = self._fresh
-        return self._rng
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0, empty buffer
+    for key in _trial_keys(seed, trials).tolist():
+        fresh["state"]["key"][0] = key
+        bitgen.state = fresh
+        yield rng
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -115,10 +117,9 @@ def estimate(
     an event receives is valid only during its own trial."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    stream = _TrialStream()
     successes = 0
-    for i in range(trials):
-        if event(stream.at(seed, i)):
+    for rng in _trial_streams(seed, trials):
+        if event(rng):
             successes += 1
     low, high = wilson_interval(successes, trials)
     return EstimateResult(successes, trials, Fraction(successes, trials), low, high, seed)

@@ -30,7 +30,7 @@ from .algebra import (
     random_polynomial,
     restrict_to_affine,
 )
-from .estimator import _TrialStream, check_budget
+from .estimator import _trial_streams, check_budget
 from .rmcode import (
     CharacterSum,
     CodeParams,
@@ -94,10 +94,14 @@ class UnivariatePoly:
         return acc
 
     def eval_poly(self, p: Polynomial) -> Polynomial:
-        """Horner evaluation in the quotient ring."""
-        acc = Polynomial.constant(p.q, p.n, self.coeffs[-1])
+        """Horner evaluation in the quotient ring, each constant added into
+        the constant coefficient of a fresh array."""
+        q, n = p.q, p.n
+        acc = Polynomial.constant(q, n, self.coeffs[-1])
         for c in reversed(self.coeffs[:-1]):
-            acc = mul_reduced(acc, p) + Polynomial.constant(p.q, p.n, c)
+            coeffs = mul_reduced(acc, p).coeffs.copy()
+            coeffs[0] = (coeffs[0] + c) % q
+            acc = Polynomial._wrap(q, n, coeffs)
         return acc
 
     def value_table(self) -> np.ndarray:
@@ -421,10 +425,9 @@ def robust_distance_experiment(
         dists = _batch_distances(prods, codewords)
         mode, samples, seed_out = "exact", len(tables), None
     else:
-        stream = _TrialStream()
         rows = []
-        for i in range(trials):
-            p = random_polynomial(q, n, cfg.e, stream.at(seed, i))
+        for rng in _trial_streams(seed, trials):
+            p = random_polynomial(q, n, cfg.e, rng)
             rows.append(mul_reduced(f, p).evaluate_all().values)
         dists = _batch_distances(np.stack(rows), codewords)
         mode, samples, seed_out = "sampled", trials, seed

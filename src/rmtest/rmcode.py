@@ -30,9 +30,9 @@ from .algebra import (
 )
 from .estimator import check_budget, get_budget, trial_rng
 
-# Product table cells (2 MB of int64) interpolated per call in
-# product_degree_counts; the transform and the degree scan hold about two
-# more arrays of this size.
+# Table cells (2 MB of int64) per block: codeword_tables yields this many
+# per block and product_degree_counts interpolates this many per call; the
+# transform and the degree scan hold about two more arrays of this size.
 _PRODUCT_BLOCK_CELLS = (2 << 20) // 8
 
 
@@ -97,7 +97,8 @@ def codeword_tables(code: CodeParams):
     """Yield (coefficient rows, evaluation rows) over the whole code, the
     coefficients over generator_matrix's rows in counter order."""
     gen = generator_matrix(code)
-    for block in coefficient_blocks(code.q, len(gen), 1 << 13):
+    rows = max(1, _PRODUCT_BLOCK_CELLS // code.q**code.n)
+    for block in coefficient_blocks(code.q, len(gen), rows):
         tables = block @ gen
         tables %= code.q
         yield block, tables

@@ -59,15 +59,23 @@ class TestReducedProduct:
 
     def test_products_and_samples_are_read_only(self):
         x, y = Polynomial.variable(3, 2, 0), Polynomial.variable(3, 2, 1)
+        table = (x + y).evaluate_all()
         outputs = [
             alg.mul_reduced(x, y),
             alg.mul_reduced(x, Polynomial.zero(3, 2)),
             alg.random_polynomial(3, 2, 2, np.random.default_rng(0)),
+            x + y,
+            x - y,
+            -x,
+            x.scale(2),
+            alg.interpolate(table),
         ]
-        for f in outputs:
-            assert not f.coeffs.flags.writeable
+        for arr in [f.coeffs for f in outputs] + [table.values]:
+            assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                f.coeffs[0] = 1
+                arr[0] = 1
+        assert x - y == x + y.scale(2) and -x == x.scale(2)
+        assert alg.interpolate(table) == x + y
 
     @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 1), (3, 2), (257, 1)])
     def test_ring_isomorphism_exhaustive_small(self, q, n):
@@ -87,6 +95,56 @@ class TestReducedProduct:
             lhs = alg.mul_reduced(f, g).evaluate_all()
             rhs = f.evaluate_all().pointwise_mul(g.evaluate_all())
             assert lhs == rhs
+
+
+def _product_dims():
+    return st.sampled_from(
+        [(q, n) for q in (2, 3, 5, 7) for n in range(11) if q**n <= 1024]
+    )
+
+
+class TestProductIndex:
+    """mul_reduced's product-index lookups against the pointwise route."""
+
+    @pytest.mark.parametrize("cap", ["default", "q", "q*q"])
+    @given(_product_dims(), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mul_reduced_matches_pointwise(self, cap, dims, seed, data):
+        q, n = dims
+        top = n * (q - 1)
+        rng = np.random.default_rng(seed)
+        f = alg.random_polynomial(q, n, data.draw(st.integers(0, top)), rng)
+        g = alg.random_polynomial(q, n, data.draw(st.integers(0, top)), rng)
+        pointwise = EvalTable(q, n, f.evaluate_all().values * g.evaluate_all().values)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap != "default":
+                mp.setattr(alg, "_PRODUCT_ROWS", q if cap == "q" else q * q)
+            assert alg.mul_reduced(f, g) == alg.interpolate(pointwise)
+
+    def test_table_is_the_reduced_monomial_product(self):
+        for q, w in ((2, 3), (3, 2), (5, 1)):
+            table = alg._product_index(q, w)
+            assert table.dtype == np.int32 and not table.flags.writeable
+            for i in range(q**w):
+                for j in range(q**w):
+                    prod = Monomial.from_index(q, w, i) * Monomial.from_index(q, w, j)
+                    assert table[i, j] == prod.index()
+
+    def test_large_q_folds_without_a_table(self, monkeypatch):
+        # a 65537 x 65537 table would take 16 GiB
+        def no_table(q, w):
+            raise AssertionError(f"built a product table for q={q}")
+
+        monkeypatch.setattr(alg, "_product_index", no_table)
+        q = 65537
+        f = Polynomial.from_terms(q, 1, {(0,): 3, (1,): q - 1, (40000,): 5, (q - 1,): 2})
+        g = Polynomial.from_terms(q, 1, {(2,): 7, (30000,): 11, (q - 2,): q - 4})
+        expect = {}
+        for mf, cf in f.terms():
+            for mg, cg in g.terms():
+                key = (mf * mg).exponents
+                expect[key] = expect.get(key, 0) + cf * cg
+        assert alg.mul_reduced(f, g) == Polynomial.from_terms(q, 1, expect)
 
 
 class TestMonomials:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,41 @@ def cube_poly(tmp_path):
     path = tmp_path / "cube.poly"
     path.write_text(alg.poly_to_text(Polynomial.from_terms(2, 3, {(1, 1, 1): 1})))
     return str(path)
+
+
+DATA = Path(__file__).parent / "data"
+
+# Sampled reports written by the CLI on fixed polynomial files; a change to a
+# trial stream, a sampler or the report layout changes their bytes.
+GOLDEN = {
+    "test_ek_sampled.json": [
+        "test-ek", "--poly", "ek_2_6.poly", "--d", "2", "--e", "1", "--k", "2",
+        "--delta", "12", "--trials", "400", "--seed", "11",
+    ],
+    "corr_h_sampled.json": [
+        "corr-h", "--poly", "corr_3_3.poly", "--d", "2", "--e", "1", "--h", "0,1,1",
+        "--trials", "400", "--seed", "12",
+    ],
+    "sz_sampled.json": [
+        "sz", "--poly", "sz_2_6.poly", "--q", "2", "--n", "6", "--d", "3", "--e", "1",
+        "--s", "1", "--trials", "400", "--seed", "13",
+    ],
+    "robust_sampled.json": [
+        "robust", "--poly", "robust_2_4.poly", "--d", "1", "--e", "1",
+        "--trials", "200", "--seed", "14",
+    ],
+    "akklr_sampled.json": [
+        "akklr", "--poly", "akklr_3_3.poly", "--d", "1", "--trials", "300", "--seed", "15",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sampled_report_matches_golden_file(name, tmp_path):
+    argv = [str(DATA / a) if a.endswith(".poly") else a for a in GOLDEN[name]]
+    out = tmp_path / name
+    assert run_cli(*argv, "--quiet", "--json", str(out)) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 class TestSZCommand:

@@ -1,5 +1,6 @@
 """Seeded estimation, Wilson intervals and the enumeration budget."""
 
+import numpy as np
 import pytest
 
 from rmtest import algebra as alg, multtests as mt, rmcode, setmultilin as sml, sztest
@@ -8,6 +9,8 @@ from rmtest.estimator import (
     check_budget,
     estimate,
     get_budget,
+    _trial_key,
+    _trial_keys,
     mix64,
     trial_rng,
     wilson_interval,
@@ -45,6 +48,12 @@ class TestEstimate:
     def test_mix64_spreads(self):
         outs = {mix64(x) for x in range(1000)}
         assert len(outs) == 1000
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**63 + 5])
+    def test_one_pass_keys_equal_the_scalar_keys(self, seed):
+        keys = _trial_keys(seed, 300)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [_trial_key(seed, i) for i in range(300)]
 
 
 DRAWS = {

@@ -70,6 +70,19 @@ class TestTestEK:
         assert p == Fraction(1, 8)
         assert peak < 24 * 2**20
 
+    def test_codeword_blocks_shrink_with_q_n(self):
+        # 4096 multipliers over (2, 11); blocks of 8192 codewords peaked at 71 MB
+        f = mt.hard_instance(2, 11, 8)
+        cfg = mt.TestConfig(CodeParams(2, 11, 2), e=1, k=1)
+        tracemalloc.start()
+        try:
+            p = mt.exact_acceptance_probability(f, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == Fraction(1, 256)
+        assert peak < 24 * 2**20
+
     def test_vacuous_flag(self):
         assert mt.TestConfig(CodeParams(2, 3, 2), e=1, k=1).vacuous
         assert not mt.TestConfig(CodeParams(2, 3, 1), e=1, k=1).vacuous
@@ -205,6 +218,16 @@ class TestCorrH:
         f = Polynomial.variable(3, 2, 0)
         cfg = mt.TestConfig(CodeParams(3, 2, 1), e=1, k=2)
         assert mt.exact_corr_h_probability(f, cfg, h) == 1
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 2), (7, 2)])
+    def test_ring_horner_equals_pointwise_composition(self, q, n):
+        rng = np.random.default_rng(q * 10 + n)
+        for _ in range(20):
+            coeffs = rng.integers(0, q, size=int(rng.integers(1, q))).tolist() + [1]
+            h = mt.UnivariatePoly(q, tuple(coeffs))
+            p = alg.random_polynomial(q, n, int(rng.integers(0, n * (q - 1) + 1)), rng)
+            table = alg.EvalTable(q, n, h.value_table()[p.evaluate_all().values])
+            assert h.eval_poly(p) == alg.interpolate(table)
 
     def test_degree_q_rejected(self):
         cfg = mt.TestConfig(CodeParams(2, 2, 0), e=1, k=2)
