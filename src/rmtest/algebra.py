@@ -306,17 +306,16 @@ def degree_table(q: int, n: int) -> np.ndarray:
     return deg
 
 
-@functools.lru_cache(maxsize=None)
-def _product_index(q: int, w: int) -> np.ndarray:
-    """_product_index(q, w)[i, j] = index of the reduced product X^i * X^j
-    of two monomials over w variables, read-only int32 of shape q^w x q^w.
+def _digit_table(digit: np.ndarray, w: int) -> np.ndarray:
+    """table[i, j] = mixed-radix index whose every digit is digit[a, b] for
+    the digits a, b of i and j, over w digits; read-only int32 q^w x q^w.
 
-    Built one variable at a time by broadcasting; every variable folds
-    alike, so each new one is prepended as the most significant digit,
-    which keeps the long axis innermost.
+    Built one digit at a time by broadcasting; every digit combines alike,
+    so each new one is prepended as the most significant digit, which keeps
+    the long axis innermost.
     """
-    a = np.arange(q)
-    digit = _fold(q)[a[:, None] + a[None, :]].astype(np.int32)
+    q = len(digit)
+    digit = digit.astype(np.int32)
     table = np.zeros((1, 1), dtype=np.int32)
     for _ in range(w):
         rows = len(table)
@@ -324,6 +323,21 @@ def _product_index(q: int, w: int) -> np.ndarray:
         table = table.reshape(rows * q, rows * q)
     table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def _product_index(q: int, w: int) -> np.ndarray:
+    """_product_index(q, w)[i, j] = index of the reduced product X^i * X^j
+    of two monomials over w variables."""
+    a = np.arange(q)
+    return _digit_table(_fold(q)[a[:, None] + a[None, :]], w)
+
+
+@functools.lru_cache(maxsize=None)
+def sum_index(q: int, n: int) -> np.ndarray:
+    """sum_index(q, n)[i, j] = index of the point i + j of F_q^n."""
+    a = np.arange(q)
+    return _digit_table((a[:, None] + a[None, :]) % q, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,12 +397,31 @@ def transform_rows(q: int, n: int, rows: np.ndarray, mat: np.ndarray) -> np.ndar
     return out.reshape(rows.shape)
 
 
+def _xor_butterfly(n: int, rows: np.ndarray) -> np.ndarray:
+    """Evaluation and interpolation at q = 2, which are the same map: the
+    Vandermonde matrix and its inverse mod 2 are both [[1, 0], [1, 1]], so
+    every axis is one in-place XOR of its upper half with its lower half."""
+    # a C-ordered copy, so every reshape below is a view; the cast wraps
+    # mod 256, which keeps the parity
+    out = np.asarray(rows).astype(np.uint8, order="C")
+    out &= 1
+    lead = out.size >> n
+    for j in range(n):
+        axis = out.reshape(lead << j, 2, 1 << (n - j - 1))
+        axis[:, 1, :] ^= axis[:, 0, :]
+    return out.astype(np.int64)
+
+
 def batch_evaluate(q: int, n: int, coeff_rows: np.ndarray) -> np.ndarray:
     """Evaluation tables (rows) for a matrix of coefficient rows."""
+    if q == 2:
+        return _xor_butterfly(n, coeff_rows)
     return transform_rows(q, n, coeff_rows, _vandermonde(q))
 
 
 def batch_interpolate(q: int, n: int, value_rows: np.ndarray) -> np.ndarray:
+    if q == 2:
+        return _xor_butterfly(n, value_rows)
     return transform_rows(q, n, value_rows, _vandermonde_inv(q))
 
 

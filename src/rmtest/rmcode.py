@@ -31,7 +31,8 @@ from .algebra import (
 from .estimator import check_budget, get_budget, trial_rng
 
 # Table cells (2 MB of int64) per block: codeword_tables yields this many
-# per block and product_degree_counts interpolates this many per call; the
+# per block, product_degree_counts interpolates this many per call and the
+# streamed character averages tally this many residues at a time; the
 # transform and the degree scan hold about two more arrays of this size.
 _PRODUCT_BLOCK_CELLS = (2 << 20) // 8
 
@@ -282,9 +283,16 @@ class CharacterSum:
         return all(c == self.counts[0] for c in self.counts)
 
 
-def _character_counts(q: int, residues: np.ndarray) -> CharacterSum:
-    counts = np.bincount(residues % q, minlength=q)
-    return CharacterSum(q, tuple(int(c) for c in counts), int(residues.size))
+def _character_counts(q: int, residue_blocks) -> CharacterSum:
+    """Exact character sum of every residue in an iterable of fresh
+    nonnegative integer arrays, each reduced mod q in place and tallied, then
+    freed before the next one is built."""
+    counts = np.zeros(q, dtype=np.int64)
+    for residues in residue_blocks:
+        residues %= q
+        counts += np.bincount(residues.ravel(), minlength=q)
+        del residues
+    return CharacterSum(q, tuple(int(c) for c in counts), int(counts.sum()))
 
 
 def character_membership(
@@ -312,17 +320,13 @@ def character_membership(
         return CharacterSum(q, counts, total, "exact" if trials is None else "sampled")
     if trials is None:
         check_budget(dual.size, budget, "dual enumeration")
-        residues = []
-        for _, tables in codeword_tables(dual):
-            residues.append(tables @ ftab % q)
-        return _character_counts(q, np.concatenate(residues))
+        return _character_counts(q, (tables @ ftab for _, tables in codeword_tables(dual)))
     gen = generator_matrix(dual)
     rng = trial_rng(seed, 0)
     coeffs = rng.integers(0, q, size=(trials, len(gen)))
     # exact by associativity mod q: one matrix-vector product per dual
     # basis word instead of one codeword table per draw
-    residues = coeffs @ (gen @ ftab % q) % q
-    cs = _character_counts(q, residues)
+    cs = _character_counts(q, [coeffs @ (gen @ ftab % q)])
     return CharacterSum(q, cs.counts, cs.total, "sampled")
 
 

@@ -130,6 +130,16 @@ class TestProductIndex:
                     prod = Monomial.from_index(q, w, i) * Monomial.from_index(q, w, j)
                     assert table[i, j] == prod.index()
 
+    def test_sum_table_adds_points(self):
+        for q, n in ((2, 3), (3, 2), (5, 1), (7, 0)):
+            table = alg.sum_index(q, n)
+            assert table.dtype == np.int32 and not table.flags.writeable
+            for i in range(q**n):
+                for j in range(q**n):
+                    x, y = Monomial.from_index(q, n, i), Monomial.from_index(q, n, j)
+                    point = tuple((a + b) % q for a, b in zip(x.exponents, y.exponents))
+                    assert table[i, j] == Monomial(q, point).index()
+
     def test_large_q_folds_without_a_table(self, monkeypatch):
         # a 65537 x 65537 table would take 16 GiB
         def no_table(q, w):
@@ -282,6 +292,23 @@ class TestBatchTransforms:
         np.testing.assert_array_equal(
             alg.batch_interpolate(q, n, rows), rows @ alg.interp_matrix(q, n).T % q
         )
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_xor_butterfly_matches_dense_matrices(self, n):
+        # q = 2 takes the XOR butterfly; entries outside {0, 1}, negatives
+        # included, and a Fortran-ordered input (its reshapes are copies)
+        rng = np.random.default_rng(n)
+        dense = {
+            alg.batch_evaluate: alg.eval_matrix(2, n),
+            alg.batch_interpolate: alg.interp_matrix(2, n),
+        }
+        for shape in ((1, 2**n), (7, 2**n), (3, 4, 2**n)):
+            rows = rng.integers(-3, 5, size=shape)
+            for rows in (rows, np.asfortranarray(rows)):
+                for batch, mat in dense.items():
+                    got = batch(2, n, rows)
+                    assert got.dtype == np.int64 and got.shape == shape
+                    np.testing.assert_array_equal(got, rows @ mat.T % 2)
 
     def test_one_row_and_many_rows_agree(self):
         rng = np.random.default_rng(3)

@@ -57,12 +57,47 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_sampled_report_matches_golden_file(name, tmp_path):
-    argv = [str(DATA / a) if a.endswith(".poly") else a for a in GOLDEN[name]]
+# Exact reports written the same way; a change to an enumeration oracle's
+# value or the report layout changes their bytes.
+EXACT_GOLDEN = {
+    "akklr_3_3_d0_exact.json": ["akklr", "--poly", "akklr_3_3.poly", "--d", "0", "--exact"],
+    "akklr_3_3_d1_exact.json": ["akklr", "--poly", "akklr_3_3.poly", "--d", "1", "--exact"],
+    "akklr_2_5_d1_exact.json": ["akklr", "--poly", "akklr_2_5.poly", "--d", "1", "--exact"],
+    "akklr_2_5_d2_exact.json": ["akklr", "--poly", "akklr_2_5.poly", "--d", "2", "--exact"],
+    "test_ek_exact.json": [
+        "test-ek", "--poly", "ek_2_6.poly", "--d", "2", "--e", "1", "--k", "2",
+        "--delta", "12", "--exact",
+    ],
+    "sz_exact.json": [
+        "sz", "--poly", "sz_2_6.poly", "--q", "2", "--n", "6", "--d", "3", "--e", "1",
+        "--s", "1", "--exact",
+    ],
+}
+
+
+def assert_matches_golden(name, argv, tmp_path):
+    argv = [str(DATA / a) if a.endswith(".poly") else a for a in argv]
     out = tmp_path / name
     assert run_cli(*argv, "--quiet", "--json", str(out)) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sampled_report_matches_golden_file(name, tmp_path):
+    assert_matches_golden(name, GOLDEN[name], tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_GOLDEN))
+def test_exact_report_matches_golden_file(name, tmp_path):
+    assert_matches_golden(name, EXACT_GOLDEN[name], tmp_path)
+
+
+def test_akklr_budget_exit(capsys):
+    argv = ["akklr", "--poly", str(DATA / "akklr_2_5.poly"), "--d", "2", "--exact"]
+    assert run_cli(*argv, "--quiet", "--budget", "1000000") == 3
+    assert capsys.readouterr().err == (
+        "infeasible: subspace enumeration needs 1048576 items, above the budget of 1000000\n"
+    )
 
 
 class TestSZCommand:

@@ -71,6 +71,18 @@ class TestGeneralizedCoefficients:
         gen = gb.to_generalized(f, ordering)
         assert gb.from_generalized(gen, q, n, ordering) == f
 
+    @pytest.mark.parametrize("xi", [(0, 1), (1, 0)])
+    def test_roundtrip_q2(self, xi):
+        # the generalized basis at q = 2 is (1, X - xi[0]) on every axis
+        ordering = gb.FieldOrdering(2, xi)
+        rng = np.random.default_rng(sum(xi) + 5)
+        for n in range(9):
+            f = alg.random_polynomial(2, n, n, rng)
+            gen = gb.to_generalized(f, ordering)
+            assert gb.from_generalized(gen, 2, n, ordering) == f
+            if xi == (0, 1):
+                np.testing.assert_array_equal(gen, f.coeffs)
+
     def test_degree_preserved(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

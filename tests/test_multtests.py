@@ -1,11 +1,15 @@
 """The multiplier tests, their oracles, bounds and character views."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmtest import algebra as alg, combin, multtests as mt, rmcode
 from rmtest.algebra import Polynomial
@@ -15,6 +19,16 @@ from rmtest.rmcode import CodeParams
 
 def product_instance():
     return Polynomial.from_terms(2, 2, {(1, 1): 1})
+
+
+def traced_peak(fn):
+    """fn's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTestEK:
@@ -279,6 +293,44 @@ class TestCharacterAverages:
                         rhs = mt.raw_character_average(f, e, ga).value()
                         assert abs(lhs - rhs) < 1e-9
 
+    @pytest.mark.parametrize("cells", [None, 1, 37])
+    def test_streamed_counts_equal_direct_sums(self, cells):
+        # (3, 2): 27 multipliers of degree <= 1, 729 dual words of order 2
+        q, n = 3, 2
+        f = alg.random_polynomial(q, n, 4, np.random.default_rng(47))
+        ftab = f.evaluate_all().values
+        ps = [p.evaluate_all().values for p in alg.all_polynomials(q, n, 1)]
+        duals = [w.evaluate_all().values for w in alg.all_polynomials(q, n, 2)]
+        g = mt.UnivariatePoly(q, (1, 2, 1))
+        h = mt.UnivariatePoly(q, (2, 1))
+
+        def counts(residues):
+            return tuple(int(c) for c in np.bincount(np.array(residues) % q, minlength=q))
+
+        want_raw = counts([g.value_table()[p] @ ftab for p in ps])
+        want_pair = counts([p1 * p2 * 2 @ ftab for p1 in ps for p2 in ps])
+        want_double = counts([h.value_table()[p] * ftab @ w for p in ps for w in duals])
+        cfg = mt.TestConfig(CodeParams(q, n, 0), e=1)
+        with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", cells or rmcode._PRODUCT_BLOCK_CELLS):
+            assert mt.raw_character_average(f, 1, g).counts == want_raw
+            assert mt.pair_character_average(f, 1, 2).counts == want_pair
+            assert mt.character_average(f, cfg, h).counts == want_double
+        # target order n(q-1): the dual is {0}, so every residue is 0
+        whole = mt.character_average(f, mt.TestConfig(CodeParams(q, n, 3), e=1), h)
+        assert (whole.counts, whole.total) == ((27, 0, 0), 27)
+
+    def test_streamed_memory_is_bounded(self):
+        # 2^16 multipliers; the materialised tables peaked at 33 and 64 MB
+        f = mt.hard_instance(2, 5, 2)
+        g = mt.UnivariatePoly(2, (0, 1))
+        raw, peak = traced_peak(lambda: mt.raw_character_average(f, 2, g))
+        assert (raw.counts, raw.total) == ((32768, 32768), 65536)
+        assert peak < 8 * 2**20
+        cfg = mt.TestConfig(CodeParams(2, 5, 1), e=1)
+        double, peak = traced_peak(lambda: mt.character_average(f, cfg, g))
+        assert (double.counts, double.total) == ((2359296, 1835008), 4194304)
+        assert peak < 8 * 2**20
+
     def test_two_step_inequality(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
@@ -327,6 +379,39 @@ class TestRobustExperiment:
             mt.robust_distance_experiment(Polynomial.zero(2, 3), cfg)
 
 
+# (q, n, d) with q^n <= 81 and d + 1 <= n whose q^((d+1)n) direction
+# matrices the brute force below walks in well under a second
+AKKLR_CASES = [
+    (q, n, d)
+    for q in (2, 3, 5)
+    for n in range(1, 7)
+    for d in range(3)
+    if q**n <= 81 and d + 1 <= n and q ** ((d + 1) * n) <= 3**8
+]
+
+
+def akklr_brute_force(f: Polynomial, d: int) -> Fraction:
+    """Rejection probability over every full-rank direction matrix and
+    every offset, through the dense interpolation matrix."""
+    q, n, dim = f.q, f.n, d + 1
+    table = f.evaluate_all().values
+    powers = q ** np.arange(n - 1, -1, -1)
+    grid = np.array(list(itertools.product(range(q), repeat=dim)))
+    offsets = np.array(list(itertools.product(range(q), repeat=n)))
+    high = alg.degree_table(q, dim) > d
+    rejected = total = 0
+    for entries in itertools.product(range(q), repeat=dim * n):
+        dirs = np.array(entries).reshape(dim, n)
+        if alg.rank_mod(dirs, q) < dim:
+            continue
+        pts = (offsets[:, None, :] + (grid @ dirs)[None, :, :]) % q
+        coeffs = table[pts @ powers] @ alg.interp_matrix(q, dim).T % q
+        rejected += int(np.count_nonzero(coeffs[:, high].any(axis=1)))
+        total += len(offsets)
+    return Fraction(rejected, total)
+
+
+
 class TestAKKLR:
     def test_member_always_accepts(self):
         code = CodeParams(2, 4, 1)
@@ -360,3 +445,26 @@ class TestAKKLR:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             mt.akklr_test(Polynomial.zero(2, 2), CodeParams(2, 2, 2), trial_rng(0, 0))
+
+    @given(st.sampled_from(AKKLR_CASES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_matches_every_direction_matrix(self, case, seed):
+        q, n, d = case
+        f = alg.random_polynomial(q, n, n * (q - 1), np.random.default_rng(seed))
+        want = akklr_brute_force(f, d)
+        assert mt.akklr_exact_rejection_probability(f, CodeParams(q, n, d)) == want
+        with mock.patch.object(mt, "_SUBSPACE_BLOCK_CELLS", 1):
+            assert mt.akklr_exact_rejection_probability(f, CodeParams(q, n, d)) == want
+
+    def test_exact_memory_is_bounded(self):
+        # 1023 lines with 1024 offsets each; the value is the rank-rejection
+        # loop's over all 1023 nonzero directions
+        f = mt.hard_instance(2, 10, 8) + Polynomial.from_terms(
+            2, 10, {(1, 0, 1, 0, 0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0, 1, 1, 0, 0, 0): 1}
+        )
+        p, peak = traced_peak(
+            lambda: mt.akklr_exact_rejection_probability(f, CodeParams(2, 10, 0))
+        )
+        assert p == Fraction(168, 341)
+        assert peak < 8 * 2**20
+
