@@ -14,6 +14,7 @@ function, so the module is safe to use from multiple threads.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -233,25 +234,43 @@ def inverse_mod_matrix(mat: Sequence[Sequence[int]], q: int) -> np.ndarray:
     return _inverse_mod_matrix(np.asarray(mat, dtype=np.int64), q)
 
 
-def rank_mod(mat: np.ndarray, q: int) -> int:
-    """Rank of an integer matrix over F_q."""
-    a = np.array(mat, dtype=np.int64) % q
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r, col]), None)
-        if pivot is None:
+def rank_mod(mat: np.ndarray, q: int):
+    """Rank over F_q of an integer matrix (an int), or of every matrix in a
+    (..., R, C) stack (an int64 array of the leading shape).
+
+    The whole stack is eliminated at once, one row at a time along the
+    shorter side (rank is invariant under transposition): a row's first
+    nonzero entry p at column j is its pivot, and every later row r becomes
+    p * r + (q - r[j]) * row mod q, which clears column j without an inverse
+    and, p being nonzero, keeps the span (at q = 2, r XOR r[j] * row).  A
+    row that is zero when its turn comes depends on the rows before it, and
+    stays zero; the others form a triangular set.
+    """
+    # entries stay below q before a step and below 2q^2 within one
+    dtype = np.uint8 if 2 * q * q < 256 else np.uint64
+    a = (np.asarray(mat) % q).astype(dtype, copy=False)
+    if a.shape[-2] > a.shape[-1]:
+        a = a.swapaxes(-1, -2)
+    *lead, rows, cols = a.shape
+    a = a.reshape(math.prod(lead), rows, cols)  # a view when lead is empty
+    for i in range(rows - 1):
+        stack = np.arange(len(a))
+        row = a[:, i, :]
+        j = (row != 0).argmax(axis=1)  # column 0 for a zero row
+        rest = a[:, i + 1 :, :]
+        below = rest[stack, :, j][:, :, None]
+        if q == 2:
+            rest ^= below & row[:, None, :]
             continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = (a[rank] * pow(int(a[rank, col]), q - 2, q)) % q
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % q
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        pivot = row[stack, j]
+        pivot += pivot == 0  # a zero row leaves the rest unchanged
+        rest *= pivot[:, None, None]
+        rest += (q - below) * row[:, None, :]
+        rest %= q
+    nonzero = a.any(axis=2)
+    if lead:
+        return nonzero.sum(axis=1).reshape(lead)
+    return int(np.count_nonzero(nonzero))
 
 
 @functools.lru_cache(maxsize=None)

@@ -40,6 +40,17 @@ def monomial_count(q: int, n: int, d: int) -> int:
     return int(ways.sum())
 
 
+def gaussian_binomial(q: int, n: int, k: int) -> int:
+    """Number of k-dimensional linear subspaces of F_q^n."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 def extremal_monomial(q: int, n: int, d: int) -> Monomial:
     """The degree-d monomial packing q-1 into the earliest variables.
 

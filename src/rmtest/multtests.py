@@ -26,6 +26,7 @@ from .algebra import (
     batch_interpolate,
     coefficient_blocks,
     degree_table,
+    monomial_indices_up_to_degree,
     mul_reduced,
     rank_mod,
     random_polynomial,
@@ -40,6 +41,7 @@ from .rmcode import (
     codeword_tables,
     dual_code,
     generator_matrix,
+    high_coefficient_maps,
     product_degree_counts,
 )
 
@@ -135,30 +137,33 @@ def _degree_tables(q: int, n: int, t: int) -> np.ndarray:
 def exact_acceptance_probability(
     f: Polynomial, cfg: TestConfig, budget: int | None = None
 ) -> Fraction:
-    """Acceptance probability by enumerating every multiplier tuple.
+    """Acceptance probability, exactly, without enumerating the last factor.
 
+    For g = f*P_1*...*P_{k-1}, the test accepts iff every coefficient of
+    g*P_k above d+ek vanishes, which is linear in P_k: q^(M - rank) of the
+    q^M multipliers P_k pass, rank being that of rmcode.high_coefficient_maps.
     The outer k-1 multipliers are enumerated as blocks of partial product
-    tables f*P_1*...*P_{k-1}; the last one is counted for a whole block at
-    once by product_degree_counts.
+    tables g, one map per partial product, ranked as one stack.  The budget
+    counts the map cells built, q^(M(k-1)) * M * q^n.
     """
     q, n = cfg.code.q, cfg.code.n
-    count = q ** combin.monomial_count(q, n, cfg.e)
-    total = count**cfg.k
-    check_budget(total, budget, "tuple enumeration")
     K = q**n
-    gen = generator_matrix(CodeParams(q, n, min(cfg.e, n * (q - 1))))
-    M = len(gen)
+    M = combin.monomial_count(q, n, cfg.e)
+    check_budget(q ** (M * (cfg.k - 1)) * M * K, budget, "rank map cells")
+    if cfg.k > 1:  # whole tables only for the enumerated outer factors
+        gen = generator_matrix(CodeParams(q, n, min(cfg.e, n * (q - 1))))
     ftab = f.evaluate_all().values
     accepted = 0
     for block in coefficient_blocks(
-        q, (cfg.k - 1) * M, max(1, rmcode._PRODUCT_BLOCK_CELLS // K)
+        q, (cfg.k - 1) * M, max(1, rmcode._PRODUCT_BLOCK_CELLS // (M * K))
     ):
         partial = np.broadcast_to(ftab, (len(block), K))
         for i in range(cfg.k - 1):
             partial = partial * (block[:, i * M : (i + 1) * M] @ gen) % q
-        hist = product_degree_counts(q, n, cfg.e, partial)
-        accepted += int(hist[:, : cfg.target_degree + 2].sum())
-    return Fraction(accepted, total)
+        maps = high_coefficient_maps(q, n, cfg.e, partial, cfg.target_degree)
+        ranks = np.bincount(rank_mod(maps, q), minlength=M + 1)
+        accepted += sum(int(c) * q ** (M - r) for r, c in enumerate(ranks) if c)
+    return Fraction(accepted, q ** (M * cfg.k))
 
 
 def hard_instance(q: int, n: int, L: int) -> Polynomial:
@@ -177,19 +182,18 @@ def subspace_vanishing_probability(
     q: int, n: int, L: int, e: int, budget: int | None = None
 ) -> Fraction:
     """Probability that one uniform degree-<=e multiplier vanishes on the
-    L-dimensional subspace fixing the first n-L coordinates; the exact
-    value is q^(-monomial_count(q, L, e))."""
-    count = q ** combin.monomial_count(q, n, e)
-    check_budget(count, budget, "multiplier enumeration")
-    # points of the subspace: first n-L coordinates zero
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    grid = next(coefficient_blocks(q, L, block_size=q**L)) if L else np.zeros((1, 0), dtype=np.int64)
-    pts = np.concatenate([np.zeros((len(grid), n - L), dtype=np.int64), grid], axis=1)
-    idx = pts @ powers
-    vanish = 0
-    for _, tables in codeword_tables(CodeParams(q, n, min(e, n * (q - 1)))):
-        vanish += int(np.count_nonzero(~tables[:, idx].any(axis=1)))
-    return Fraction(vanish, count)
+    L-dimensional subspace fixing the first n-L coordinates, as q^-rank of
+    the M x q^L submatrix of the generator matrix at the subspace's points
+    (the closed form is q^(-monomial_count(q, L, e)))."""
+    idx = monomial_indices_up_to_degree(q, n, min(e, n * (q - 1)))
+    check_budget(len(idx) * q**L, budget, "rank map cells")
+    # the points are the indices below q^L (first n-L digits zero): a
+    # monomial in one of the first n-L variables is zero on all of them,
+    # and one in the last L variables takes its values over (q, L)
+    sub = np.zeros((len(idx), q**L), dtype=np.int64)
+    inner = idx < q**L
+    sub[inner] = rmcode.monomial_tables(q, L, idx[inner])
+    return Fraction(1, q ** rank_mod(sub, q))
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +566,16 @@ def akklr_exact_rejection_probability(
     basis and paired with every offset; every affine subspace is hit by
     q^(d+1) such pairs, so the uniform average over pairs equals the
     average over subspaces.  A restriction is rejected iff one of its
-    coefficients above degree d is nonzero.
+    coefficients above degree d is nonzero.  The budget counts the pairs
+    walked, gaussian_binomial(q, n, d+1) * q^n.
     """
     q, n, d = code.q, code.n, code.d
     if d + 1 > n:
         raise ValueError(f"need d+1 <= n, got d={d}, n={n}")
     dim = d + 1
-    check_budget(q ** (dim * n) * q**n, budget, "subspace enumeration")
+    check_budget(
+        combin.gaussian_binomial(q, n, dim) * q**n, budget, "subspace enumeration"
+    )
     ftab = f.evaluate_all().values
     # offset + span point, added separately on the high and the low half
     # of the digits, so the sum tables have at most q^ceil(n/2) rows

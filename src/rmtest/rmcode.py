@@ -25,15 +25,17 @@ from .algebra import (
     batch_evaluate,
     batch_interpolate,
     coefficient_blocks,
+    degree_table,
     ensure_prime,
     monomial_indices_up_to_degree,
 )
 from .estimator import check_budget, get_budget, trial_rng
 
 # Table cells (2 MB of int64) per block: codeword_tables yields this many
-# per block, product_degree_counts interpolates this many per call and the
-# streamed character averages tally this many residues at a time; the
-# transform and the degree scan hold about two more arrays of this size.
+# per block, product_degree_counts and high_coefficient_maps interpolate
+# this many per call and the streamed character averages tally this many
+# residues at a time; the transform and the degree scan hold about two more
+# arrays of this size.
 _PRODUCT_BLOCK_CELLS = (2 << 20) // 8
 
 
@@ -84,14 +86,19 @@ def is_member(f: Polynomial, code: CodeParams) -> bool:
     return f.degree <= code.d
 
 
-def generator_matrix(code: CodeParams) -> np.ndarray:
-    """Evaluation tables of the monomials of degree <= d, one row each, in
-    monomial index order."""
-    q, n = code.q, code.n
-    idx = monomial_indices_up_to_degree(q, n, code.d)
+def monomial_tables(q: int, n: int, idx: np.ndarray) -> np.ndarray:
+    """Evaluation tables of the monomials at the indices idx, one row each."""
     units = np.zeros((len(idx), q**n), dtype=np.int64)
     units[np.arange(len(idx)), idx] = 1
     return batch_evaluate(q, n, units)
+
+
+def generator_matrix(code: CodeParams) -> np.ndarray:
+    """Evaluation tables of the monomials of degree <= d, one row each, in
+    monomial index order."""
+    return monomial_tables(
+        code.q, code.n, monomial_indices_up_to_degree(code.q, code.n, code.d)
+    )
 
 
 def codeword_tables(code: CodeParams):
@@ -132,6 +139,36 @@ def product_degree_counts(
             cells = degs.reshape(len(ptabs), rows) + row_base
             hist += np.bincount(cells.ravel(), minlength=hist.size)
     return hist.reshape(rows, nq + 2)
+
+
+def high_coefficient_maps(
+    q: int, n: int, e: int, ftables: np.ndarray, threshold: int
+) -> np.ndarray:
+    """maps[j, m, c] = coefficient of the c-th monomial of degree above
+    threshold (in index order) in f_j * X^a, X^a the m-th monomial of degree
+    <= min(e, n(q-1)), the rows of generator_matrix.
+
+    maps[j] is the F_q-linear map P -> the coefficients of f_j * P above the
+    threshold, so deg(f_j * P) <= threshold for exactly q^(M - rank) of the
+    q^M multipliers P.  ftables holds one evaluation table f_j per row.  The
+    generator rows are built and the products interpolated in blocks of
+    about _PRODUCT_BLOCK_CELLS cells, and the maps are kept in the narrowest
+    unsigned dtype that holds q - 1.
+    """
+    K = q**n
+    idx = monomial_indices_up_to_degree(q, n, min(e, n * (q - 1)))
+    high = np.flatnonzero(degree_table(q, n) > threshold)
+    dtype = np.min_scalar_type(q - 1)
+    maps = np.empty((len(ftables), len(idx), len(high)), dtype=dtype)
+    step = max(1, _PRODUCT_BLOCK_CELLS // K)  # table rows per block
+    for m in range(0, len(idx), step):
+        gen = monomial_tables(q, n, idx[m : m + step])
+        rows = max(1, step // len(gen))  # f_j per block
+        for j in range(0, len(ftables), rows):
+            prods = ftables[j : j + rows, None, :] * gen[None, :, :] % q
+            coeffs = batch_interpolate(q, n, prods.reshape(-1, K))[:, high]
+            maps[j : j + rows, m : m + step] = coeffs.reshape(len(prods), len(gen), -1)
+    return maps
 
 
 def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> DistanceResult:

@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .errors import ZeroPolynomialError
 from .estimator import EstimateResult, check_budget, estimate
-from .rmcode import CodeParams, product_degree_counts
+from .rmcode import high_coefficient_maps
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,13 @@ def degree_drop_probability(
 ) -> SZBoundReport:
     """Probability over uniform degree-<=e multipliers that deg(fP) < d+s.
 
-    Exact mode enumerates every multiplier (the zero product counts as a
-    drop); sampled mode is a seeded Monte Carlo run.  The report carries
-    the counting bound computed from the leading monomial of f and the
-    weaker extremal-monomial bound at the same degree.
+    Exact mode counts the drops as q^(M - rank) of the q^M multipliers, by
+    the rank of the map P -> the coefficients of fP from degree d+s up
+    (rmcode.high_coefficient_maps; the zero product counts as a drop), and
+    its budget counts that map's M * q^n cells; sampled mode is a seeded
+    Monte Carlo run.  The report carries the counting bound computed from
+    the leading monomial of f and the weaker extremal-monomial bound at the
+    same degree.
     """
     query = SZQuery(f, e, s)
     d = query.d
@@ -109,10 +112,11 @@ def degree_drop_probability(
         prob = Fraction(1)
         return SZBoundReport(query, "exact", prob, None, bound, extremal, rank, True)
     if trials is None:
-        total = CodeParams(q, n, e).size
-        check_budget(total, budget, "multiplier enumeration")
-        hist = product_degree_counts(q, n, e, f.evaluate_all().values[None, :])
-        drops = int(hist[0, : d + s + 1].sum())  # degrees -1 .. d+s-1
+        M = combin.monomial_count(q, n, e)
+        check_budget(M * q**n, budget, "rank map cells")
+        ftab = f.evaluate_all().values[None, :]
+        rank_drop = rank_mod(high_coefficient_maps(q, n, e, ftab, d + s - 1)[0], q)
+        drops, total = q ** (M - rank_drop), q**M
         return SZBoundReport(
             query,
             "exact",

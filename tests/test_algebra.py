@@ -1,5 +1,7 @@
 """Ring arithmetic, orderings, transforms and text formats."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -333,6 +335,55 @@ class TestBatchTransforms:
             tracemalloc.stop()
         np.testing.assert_array_equal(back, rows)
         assert peak < 16 * 2**20
+
+
+def kernel_rank(mat: np.ndarray, q: int) -> int:
+    """R - log_q of the number of x in F_q^R with x @ mat = 0, by brute force."""
+    rows = mat.shape[0]
+    xs = np.array(list(itertools.product(range(q), repeat=rows)), dtype=np.int64)
+    kernel = np.count_nonzero(~(xs.reshape(q**rows, rows) @ mat % q).any(axis=1))
+    return rows - round(math.log(kernel, q))
+
+
+class TestRankMod:
+    """The stacked elimination against per-matrix calls and kernel counts."""
+
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.integers(1, 4),
+        st.integers(0, 4),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stack_equals_single_calls_and_kernel_counts(self, q, count, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.integers(-q, 2 * q, size=(count, rows, cols))
+        if rows >= 2:
+            # a dependent row (a multiple of another) and a zero row
+            stack[0, -1] = stack[0, 0] * int(rng.integers(q))
+            stack[-1, 0] = 0
+        ranks = alg.rank_mod(stack, q)
+        assert ranks.shape == (count,) and ranks.dtype == np.int64
+        for mat, rank in zip(stack, ranks):
+            single = alg.rank_mod(mat, q)
+            assert type(single) is int and single == rank
+            assert rank == kernel_rank(mat % q, q) == kernel_rank((mat % q).T, q)
+
+    def test_leading_shape_and_empty_sides(self):
+        rng = np.random.default_rng(5)
+        stack = rng.integers(0, 3, size=(2, 3, 4, 5))
+        want = [[alg.rank_mod(m, 3) for m in row] for row in stack]
+        np.testing.assert_array_equal(alg.rank_mod(stack, 3), want)
+        assert alg.rank_mod(np.zeros((0, 4), dtype=np.int64), 3) == 0
+        assert alg.rank_mod(np.zeros((4, 0), dtype=np.int64), 3) == 0
+        np.testing.assert_array_equal(alg.rank_mod(np.zeros((3, 2, 0)), 2), [0, 0, 0])
+
+    def test_full_rank_identity_and_large_prime(self):
+        assert alg.rank_mod(np.eye(9, dtype=np.int64), 2) == 9
+        # q = 13 leaves the uint8 range for the step's products
+        mat = np.array([[1, 12, 5], [2, 11, 10], [0, 1, 3]])
+        assert alg.rank_mod(mat, 13) == 2 == kernel_rank(mat, 13)
 
 
 class TestRestrict:

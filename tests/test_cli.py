@@ -93,11 +93,13 @@ def test_exact_report_matches_golden_file(name, tmp_path):
 
 
 def test_akklr_budget_exit(capsys):
+    # 155 planes of F_2^5 (the Gaussian binomial [5 choose 3]_2) x 32 offsets
     argv = ["akklr", "--poly", str(DATA / "akklr_2_5.poly"), "--d", "2", "--exact"]
-    assert run_cli(*argv, "--quiet", "--budget", "1000000") == 3
+    assert run_cli(*argv, "--quiet", "--budget", "4959") == 3
     assert capsys.readouterr().err == (
-        "infeasible: subspace enumeration needs 1048576 items, above the budget of 1000000\n"
+        "infeasible: subspace enumeration needs 4960 items, above the budget of 4959\n"
     )
+    assert run_cli(*argv, "--quiet", "--budget", "4960") == 0
 
 
 class TestSZCommand:
@@ -113,6 +115,18 @@ class TestSZCommand:
         assert rep["bound"] == 0.5
         assert rep["equal"] is True
         assert rep["mode"] == "exact"
+
+    def test_witness_equality_at_n12(self, tmp_path):
+        # 2^79 multipliers of degree <= 2: settled by the rank of one map
+        out = tmp_path / "sz.json"
+        code = run_cli(
+            "sz", "--q", "2", "--n", "12", "--d", "4", "--e", "2", "--s", "1",
+            "--exact", "--quiet", "--json", str(out),
+        )
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["probability_exact"] == f"1/{2**36}"
+        assert rep["equal"] is True
 
     def test_sampled_mode(self, tmp_path):
         out = tmp_path / "sz.json"

@@ -1,11 +1,13 @@
 """Monomial counting and the dominating / disjoint set machinery."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from rmtest import combin
-from rmtest.algebra import Monomial
+from rmtest.algebra import Monomial, rank_mod
 
 
 def brute_count(q, n, d):
@@ -41,6 +43,24 @@ class TestMonomialCount:
                 floor = e // (q - 1)
                 for L in range(floor, floor + 3):
                     assert combin.monomial_count(q, L, e) >= q**floor
+
+
+class TestGaussianBinomial:
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (5, 2), (2, 1)])
+    def test_counts_full_rank_matrices_over_gl(self, q, n):
+        # subspaces of dimension k = full-rank k x n matrices / |GL(k, q)|
+        for k in range(0, n + 1):
+            full = sum(
+                rank_mod(np.array(m).reshape(k, n), q) == k
+                for m in itertools.product(range(q), repeat=k * n)
+            )
+            gl = math.prod(q**k - q**i for i in range(k))
+            assert combin.gaussian_binomial(q, n, k) * gl == full
+
+    def test_known_values(self):
+        assert combin.gaussian_binomial(2, 5, 3) == 155
+        assert combin.gaussian_binomial(2, 7, 2) == 2667
+        assert combin.gaussian_binomial(3, 4, 5) == 0
 
 
 class TestSets:

@@ -146,20 +146,23 @@ _H = mt.UnivariatePoly(2, (0, 1))
 
 # (oracle at a given budget, budget, required, what)
 BUDGET_PATHS = {
+    # rank maps: M = 4 multiplier monomials x 2^3 cells, times 2^4 outer
+    # multipliers for k = 2
     "acceptance_k1": (
-        lambda b: mt.exact_acceptance_probability(_F, _CFG, b), 8, 16, "tuple enumeration"
+        lambda b: mt.exact_acceptance_probability(_F, _CFG, b), 8, 4 * 8, "rank map cells"
     ),
     "acceptance_k2": (
         lambda b: mt.exact_acceptance_probability(_F, mt.TestConfig(_CFG.code, 1, k=2), b),
         100,
-        16**2,
-        "tuple enumeration",
+        16 * 4 * 8,
+        "rank map cells",
     ),
+    # M = 4 rows x the 2^1 points of the subspace
     "subspace_vanishing": (
         lambda b: mt.subspace_vanishing_probability(2, 3, 1, 1, b),
-        8,
-        16,
-        "multiplier enumeration",
+        4,
+        4 * 2,
+        "rank map cells",
     ),
     "corr_h": (
         lambda b: mt.exact_corr_h_probability(_F, _CFG, _H, b),
@@ -189,17 +192,18 @@ BUDGET_PATHS = {
         16 * 16,
         "multiplier x coset enumeration",
     ),
+    # the 7 lines through 0 of F_2^3 x 2^3 offsets
     "akklr": (
         lambda b: mt.akklr_exact_rejection_probability(_F, _CFG.code, b),
         32,
-        2**3 * 2**3,
+        7 * 2**3,
         "subspace enumeration",
     ),
     "degree_drop": (
         lambda b: sztest.degree_drop_probability(_F, 1, 0, budget=b),
         8,
-        16,
-        "multiplier enumeration",
+        4 * 8,
+        "rank map cells",
     ),
     "distance": (
         lambda b: rmcode.distance(_F, rmcode.CodeParams(2, 3, 1), b), 8, 16, "coset enumeration"

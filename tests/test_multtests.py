@@ -31,6 +31,30 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def enumerated_acceptance(f: Polynomial, cfg: mt.TestConfig) -> Fraction:
+    """Acceptance with every factor enumerated: product_degree_counts over
+    the last factor, for every partial product f*P_1*...*P_{k-1}."""
+    q, n = f.q, f.n
+    polys = alg.all_polynomials(q, n, min(cfg.e, n * (q - 1)))
+    tables = [p.evaluate_all().values for p in polys]
+    partials = [f.evaluate_all().values]
+    for _ in range(cfg.k - 1):
+        partials = [g * t % q for g in partials for t in tables]
+    hist = rmcode.product_degree_counts(q, n, cfg.e, np.stack(partials))
+    return Fraction(int(hist[:, : cfg.target_degree + 2].sum()), len(tables) ** cfg.k)
+
+
+# (q, n, e, k) with q^n <= 64 and at most 2^14 multiplier tuples to enumerate
+RANK_CASES = [
+    (q, n, e, k)
+    for q in (2, 3, 5)
+    for n in range(1, 7)
+    for e in range(n * (q - 1) + 1)
+    for k in (1, 2, 3)
+    if q**n <= 64 and q ** (combin.monomial_count(q, n, e) * k) <= 2**14
+]
+
+
 class TestTestEK:
     def test_members_always_accept(self):
         cfg = mt.TestConfig(CodeParams(3, 2, 2), e=1, k=2)
@@ -97,6 +121,45 @@ class TestTestEK:
         assert p == Fraction(1, 256)
         assert peak < 24 * 2**20
 
+    @given(st.sampled_from(RANK_CASES), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_route_equals_enumeration(self, case, seed, data):
+        q, n, e, k = case
+        d = data.draw(st.integers(0, n * (q - 1)))
+        rng = np.random.default_rng(seed)
+        f = alg.random_polynomial(q, n, data.draw(st.integers(0, n * (q - 1))), rng)
+        cfg = mt.TestConfig(CodeParams(q, n, d), e=e, k=k)
+        want = enumerated_acceptance(f, cfg)
+        assert mt.exact_acceptance_probability(f, cfg) == want
+        with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", 1):
+            assert mt.exact_acceptance_probability(f, cfg) == want
+
+    def test_rank_route_edge_cases(self):
+        f = mt.hard_instance(3, 2, 0)
+        # vacuous: no coefficient lies above d + ek = 4, so the maps are empty
+        cfg = mt.TestConfig(CodeParams(3, 2, 2), e=1, k=2)
+        maps = rmcode.high_coefficient_maps(3, 2, 1, f.evaluate_all().values[None], 4)
+        assert cfg.vacuous and maps.shape == (1, 3, 0)
+        assert mt.exact_acceptance_probability(f, cfg) == 1
+        # f = 0 accepts for every multiplier tuple
+        for k in (1, 2):
+            cfg = mt.TestConfig(CodeParams(3, 2, 0), e=1, k=k)
+            assert mt.exact_acceptance_probability(Polynomial.zero(3, 2), cfg) == 1
+        # e >= n(q-1): the multipliers are the whole ring
+        for q, n, e, k in ((2, 2, 2, 1), (2, 2, 3, 2), (3, 1, 2, 2), (5, 1, 6, 1)):
+            f = alg.random_polynomial(q, n, n * (q - 1), np.random.default_rng(q + e))
+            cfg = mt.TestConfig(CodeParams(q, n, 0), e=e, k=k)
+            assert mt.exact_acceptance_probability(f, cfg) == enumerated_acceptance(f, cfg)
+
+    def test_rank_route_settles_n12(self):
+        # 2^79 multipliers; fP keeps degree <= 6 iff the degree-2 part of P
+        # on the 7-dimensional subspace vanishes: C(7, 2) = 21 coefficients
+        f = mt.hard_instance(2, 12, 7)
+        cfg = mt.TestConfig(CodeParams(2, 12, 4), e=2, k=1)
+        p, peak = traced_peak(lambda: mt.exact_acceptance_probability(f, cfg))
+        assert p == Fraction(1, 2**21)
+        assert peak < 24 * 2**20
+
     def test_vacuous_flag(self):
         assert mt.TestConfig(CodeParams(2, 3, 2), e=1, k=1).vacuous
         assert not mt.TestConfig(CodeParams(2, 3, 1), e=1, k=1).vacuous
@@ -127,6 +190,13 @@ class TestHardInstance:
     def test_multiplier_vanishing_probability_exact(self):
         assert mt.subspace_vanishing_probability(2, 3, 1, 1) == Fraction(1, 4)
         assert mt.subspace_vanishing_probability(3, 2, 1, 1) == Fraction(1, 9)
+
+    @pytest.mark.parametrize("q,n", [(2, 12), (3, 7), (5, 5)])
+    def test_vanishing_rank_equals_closed_form(self, q, n):
+        for L in range(n + 1):
+            for e in range(4):
+                want = Fraction(1, q ** combin.monomial_count(q, L, e))
+                assert mt.subspace_vanishing_probability(q, n, L, e) == want
 
     def test_distance_is_subspace_size(self):
         f = mt.hard_instance(2, 3, 1)
@@ -188,7 +258,7 @@ class TestSoundnessBound:
         # keep deg(f) low enough that every stage retains co-degree >= 3e
         rng = np.random.default_rng(19)
         cases = 0
-        for q, n, e, k in ((2, 4, 1, 1), (3, 2, 1, 1), (2, 6, 1, 2)):
+        for q, n, e, k in ((2, 4, 1, 1), (3, 2, 1, 1), (2, 6, 1, 2), (2, 10, 2, 1)):
             cap = n * (q - 1) - 3 * e - e * (k - 1)
             for _ in range(30):
                 f = alg.random_polynomial(q, n, cap, rng)

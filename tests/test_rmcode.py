@@ -142,6 +142,30 @@ class TestProductDegreeCounts:
         assert np.array_equal(got, want)
 
 
+class TestHighCoefficientMaps:
+    """The batched maps against ring products with single monomials."""
+
+    @pytest.mark.parametrize("cells", [None, 1, 100])
+    @pytest.mark.parametrize("q,n,e,threshold", [(2, 5, 2, 3), (3, 3, 2, 2), (5, 2, 3, 4)])
+    def test_rows_are_high_coefficients_of_monomial_products(self, q, n, e, threshold, cells):
+        rng = np.random.default_rng(q * 100 + n)
+        fs = [alg.random_polynomial(q, n, n * (q - 1), rng) for _ in range(3)]
+        ftables = np.stack([f.evaluate_all().values for f in fs])
+        with mock.patch.object(
+            rmcode, "_PRODUCT_BLOCK_CELLS", cells or rmcode._PRODUCT_BLOCK_CELLS
+        ):
+            maps = rmcode.high_coefficient_maps(q, n, e, ftables, threshold)
+        monos = alg.monomial_indices_up_to_degree(q, n, e)
+        high = alg.degree_table(q, n) > threshold
+        assert maps.shape == (3, len(monos), np.count_nonzero(high))
+        for f, fmap in zip(fs, maps):
+            for a, row in zip(monos, fmap):
+                unit = np.zeros(q**n, dtype=np.int64)
+                unit[a] = 1
+                prod = alg.mul_reduced(f, Polynomial(q, n, unit))
+                np.testing.assert_array_equal(row, prod.coeffs[high])
+
+
 class TestInnerProduct:
     def test_zero_partner(self):
         f = Polynomial.variable(2, 1, 0)

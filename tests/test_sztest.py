@@ -8,6 +8,7 @@ import pytest
 from rmtest import algebra as alg, combin, genbasis as gb, sztest
 from rmtest.algebra import Monomial, Polynomial
 from rmtest.errors import InfeasibleInstanceError, ZeroPolynomialError
+from rmtest.rmcode import product_degree_counts
 
 
 class TestDegreeDropProbability:
@@ -115,6 +116,9 @@ class TestVerifyTightness:
             (3, 2, 2, 1, 1),
             (3, 2, 4, 1, 0),
             (5, 1, 2, 1, 1),
+            # 2^79 and 3^36 multipliers: settled by rank only
+            (2, 12, 4, 2, 1),
+            (3, 7, 5, 2, 1),
         ],
     )
     def test_equality(self, inst):
@@ -153,18 +157,34 @@ class TestEquationSystem:
                     assert rank >= combin.dominating_range_count(lm, s, e)
 
     def test_probability_equals_full_system_rank(self):
-        # the drop event is exactly the full homogeneous system
-        for f in alg.all_polynomials(3, 1):
-            if f.is_zero():
-                continue
-            d = int(f.degree)
-            for e in (0, 1, 2):
-                for s in range(0, e + 1):
-                    if d + s > 2:
-                        continue
-                    rep = sztest.degree_drop_probability(f, e, s)
-                    full = sztest.independent_equation_rank(f, e, s, all_rows=True)
-                    assert rep.probability == Fraction(1, 3**full)
+        # the drop event is exactly the full homogeneous system, built one
+        # monomial product at a time; where the multipliers are few, the
+        # drop count is also enumerated through product_degree_counts
+        for q, n in ((3, 1), (2, 3), (3, 2), (5, 2), (2, 6), (3, 3)):
+            if q ** (q**n) <= 27:
+                fs = [f for f in alg.all_polynomials(q, n) if not f.is_zero()]
+            else:
+                rng = np.random.default_rng(q * 10 + n)
+                degs = rng.integers(n * (q - 1) + 1, size=4)
+                fs = [alg.random_polynomial(q, n, int(deg), rng) for deg in degs]
+            for f in fs:
+                if not f.is_zero():
+                    self._check_drops_by_rank(f)
+
+    @staticmethod
+    def _check_drops_by_rank(f):
+        q, n, d = f.q, f.n, int(f.degree)
+        top = n * (q - 1)
+        for e in range(top + 1):
+            M = combin.monomial_count(q, n, e)
+            for s in range(0, min(e, top - d) + 1):
+                rep = sztest.degree_drop_probability(f, e, s)
+                full = sztest.independent_equation_rank(f, e, s, all_rows=True)
+                assert rep.probability == Fraction(1, q**full)
+                assert (rep.drop_count, rep.total) == (q ** (M - full), q**M)
+                if q**M <= 2**12:
+                    hist = product_degree_counts(q, n, e, f.evaluate_all().values[None])
+                    assert int(hist[0, : d + s + 1].sum()) == rep.drop_count
 
     def test_triangular_submatrix_square(self):
         f = Polynomial.from_terms(3, 2, {(2, 0): 1, (1, 0): 2})
