@@ -540,10 +540,6 @@ class Polynomial:
             coeffs[idx] = (coeffs[idx] + c) % q
         return cls(q, n, coeffs)
 
-    @classmethod
-    def from_monomial(cls, m: Monomial) -> "Polynomial":
-        return cls.from_terms(m.q, m.n, {m: 1})
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -765,23 +761,8 @@ def restrict(f: Polynomial, ell: Sequence[int], alpha: int) -> Polynomial:
     rows = [[1 if i == j else 0 for i in range(n)] for j in range(n) if j != pivot]
     rows.append(ell)
     a_inv = inverse_mod_matrix(rows, q)
-    return _restrict_by_map(f, a_inv, alpha)
-
-
-def _restrict_by_map(f: Polynomial, a_inv: np.ndarray, alpha: int) -> Polynomial:
-    """Interpolate y -> f(A^{-1}(y, alpha)) over the first n-1 coordinates."""
-    q, n = f.q, f.n
-    table = f.evaluate_all().values
-    m = n - 1
-    if m == 0:
-        # restriction of a univariate function is the constant f(x0)
-        x = a_inv @ np.array([alpha % q]) % q
-        return Polynomial(q, 0, [table[int(x[0])]])
-    grid = next(coefficient_blocks(q, m, block_size=q**m))
-    ys = np.concatenate([grid, np.full((len(grid), 1), alpha % q)], axis=1)
-    xs = ys @ a_inv.T % q
-    vals = table[xs @ _powers(q, n)]
-    return interpolate(EvalTable(q, m, vals))
+    # x = A^{-1}(y, alpha): the first n-1 columns are the directions
+    return restrict_to_affine(f, a_inv[:, :-1].T, alpha * a_inv[:, -1])
 
 
 def restrict_to_affine(

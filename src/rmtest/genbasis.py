@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    Monomial,
     Polynomial,
     ensure_prime,
     inverse_mod_matrix,
@@ -160,15 +161,10 @@ def generalized_terms(
     """Nonzero generalized coefficients sorted by degree then lex indices."""
     gen = to_generalized(f, ordering)
     q, n = f.q, f.n
-    out = []
-    for flat in np.flatnonzero(gen):
-        idx = []
-        rem = int(flat)
-        for _ in range(n):
-            idx.append(rem % q)
-            rem //= q
-        idx.reverse()
-        out.append((tuple(idx), int(gen[flat])))
+    out = [
+        (Monomial.from_index(q, n, int(flat)).exponents, int(gen[flat]))
+        for flat in np.flatnonzero(gen)
+    ]
     out.sort(key=lambda t: (sum(t[0]), t[0]))
     return out
 

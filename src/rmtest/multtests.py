@@ -39,6 +39,7 @@ from .rmcode import (
     CodeParams,
     _character_counts,
     codeword_tables,
+    coset_distances,
     dual_code,
     generator_matrix,
     high_coefficient_maps,
@@ -126,12 +127,6 @@ def test_e_k(f: Polynomial, cfg: TestConfig, rng: np.random.Generator) -> bool:
     for _ in range(cfg.k):
         prod = mul_reduced(prod, random_polynomial(q, n, cfg.e, rng))
     return prod.degree <= cfg.target_degree
-
-
-def _degree_tables(q: int, n: int, t: int) -> np.ndarray:
-    """Evaluation tables of every polynomial of degree <= t, in counter order."""
-    code = CodeParams(q, n, min(t, n * (q - 1)))
-    return np.concatenate([tables for _, tables in codeword_tables(code)])
 
 
 def exact_acceptance_probability(
@@ -423,31 +418,32 @@ def robust_distance_experiment(
 ) -> RobustReport:
     """Distribution of the exact distance of f*P from the order-(d+e) code.
 
-    Exact mode (trials=None) enumerates every multiplier P; sampled mode
-    draws them from seeded streams.  Reports the full distance
-    distribution and the fraction below / at-or-below each candidate
-    radius, which is the quantity the robustness statements bound.
+    Exact mode (trials=None) enumerates every multiplier P, a block at a
+    time; sampled mode draws them from seeded streams.  The distances come
+    from rmcode.coset_distances, which streams the target code.  Reports the
+    full distance distribution and the fraction below / at-or-below each
+    candidate radius, which is the quantity the robustness statements bound.
     """
     if cfg.k != 1:
         raise ValueError("the robustness experiment multiplies by a single P")
     q, n = cfg.code.q, cfg.code.n
     target = CodeParams(q, n, min(cfg.code.d + cfg.e, n * (q - 1)))
     check_budget(target.size, budget, "coset enumeration")
-    codewords = _degree_tables(q, n, target.d)
-    ftab = f.evaluate_all().values
     if trials is None:
         count = q ** combin.monomial_count(q, n, cfg.e)
-        check_budget(count * len(codewords), budget, "multiplier x coset enumeration")
-        tables = _degree_tables(q, n, cfg.e)
-        prods = tables * ftab[None, :] % q
-        dists = _batch_distances(prods, codewords)
-        mode, samples, seed_out = "exact", len(tables), None
+        check_budget(count * target.size, budget, "multiplier x coset enumeration")
+        ftab = f.evaluate_all().values
+        multipliers = CodeParams(q, n, min(cfg.e, n * (q - 1)))
+        dists = np.concatenate(
+            [coset_distances(target, t * ftab % q)[0] for _, t in codeword_tables(multipliers)]
+        )
+        mode, samples, seed_out = "exact", len(dists), None
     else:
         rows = []
         for rng in _trial_streams(seed, trials):
             p = random_polynomial(q, n, cfg.e, rng)
             rows.append(mul_reduced(f, p).evaluate_all().values)
-        dists = _batch_distances(np.stack(rows), codewords)
+        dists = coset_distances(target, np.stack(rows))[0]
         mode, samples, seed_out = "sampled", trials, seed
     values, counts = np.unique(dists, return_counts=True)
     dist_counts = {int(v): int(c) for v, c in zip(values, counts)}
@@ -469,14 +465,6 @@ def robust_distance_experiment(
         float(median(sorted(int(x) for x in dists))),
         seed_out,
     )
-
-
-def _batch_distances(rows: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    """Per-row exact distance to the span given all codeword tables."""
-    out = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i] = int((codewords != row[None, :]).sum(axis=1).min())
-    return out
 
 
 def lucky_probability(

@@ -32,10 +32,11 @@ from .algebra import (
 from .estimator import check_budget, get_budget, trial_rng
 
 # Table cells (2 MB of int64) per block: codeword_tables yields this many
-# per block, product_degree_counts and high_coefficient_maps interpolate
-# this many per call and the streamed character averages tally this many
-# residues at a time; the transform and the degree scan hold about two more
-# arrays of this size.
+# per block, coset_distances compares this many per step,
+# product_degree_counts and high_coefficient_maps interpolate this many per
+# call and the streamed character averages tally this many residues at a
+# time; the transform and the degree scan hold about two more arrays of this
+# size.
 _PRODUCT_BLOCK_CELLS = (2 << 20) // 8
 
 
@@ -171,24 +172,40 @@ def high_coefficient_maps(
     return maps
 
 
+def coset_distances(code: CodeParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dists[i] = least Hamming distance from the evaluation table rows[i] to
+    the code; nearest[i] = the coefficients (over generator_matrix's rows) of
+    the first codeword at that distance in counter order.
+
+    The codewords are streamed from codeword_tables and compared with the
+    rows at most _PRODUCT_BLOCK_CELLS cells at a time, so memory does not
+    grow with the code.
+    """
+    best = np.full(len(rows), np.iinfo(np.int64).max)
+    nearest = np.zeros((len(rows), code.dimension), dtype=np.int64)
+    for block, tables in codeword_tables(code):
+        step = max(1, _PRODUCT_BLOCK_CELLS // tables.size)  # rows per compare
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            dists = np.count_nonzero(tables[None, :, :] != chunk[:, None, :], axis=2)
+            j = dists.argmin(axis=1)
+            dj = dists[np.arange(len(chunk)), j]
+            closer = np.flatnonzero(dj < best[start : start + step])
+            best[start + closer] = dj[closer]
+            nearest[start + closer] = block[j[closer]]
+    return best, nearest
+
+
 def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> DistanceResult:
     """Exact distance to the code by enumerating the coset of f."""
     if f.q != code.q or f.n != code.n:
         raise ValueError("polynomial and code parameters disagree")
     check_budget(code.size, budget, "coset enumeration")
     q, n = code.q, code.n
-    ftab = f.evaluate_all().values
-    best = None
-    best_coeffs = None
-    for block, tables in codeword_tables(code):
-        dists = np.count_nonzero(tables != ftab[None, :], axis=1)
-        j = int(np.argmin(dists))
-        if best is None or dists[j] < best:
-            best = int(dists[j])
-            best_coeffs = block[j].copy()
+    dists, nearest = coset_distances(code, f.evaluate_all().values[None, :])
     coeffs = np.zeros(q**n, dtype=np.int64)
-    coeffs[monomial_indices_up_to_degree(q, n, code.d)] = best_coeffs
-    return DistanceResult(best, Polynomial(q, n, coeffs), "exact-coset", code.size)
+    coeffs[monomial_indices_up_to_degree(q, n, code.d)] = nearest[0]
+    return DistanceResult(int(dists[0]), Polynomial(q, n, coeffs), "exact-coset", code.size)
 
 
 def weight_distribution(code: CodeParams, budget: int | None = None) -> np.ndarray:
@@ -375,18 +392,9 @@ def character_membership(
 def direction_representatives(q: int, n: int) -> list[tuple[int, ...]]:
     """One normalized representative per scalar class of nonzero forms,
     in lexicographic order (leading nonzero coefficient scaled to 1)."""
-    out = []
-    for idx in range(1, q**n):
-        coeffs = []
-        rem = idx
-        for _ in range(n):
-            coeffs.append(rem % q)
-            rem //= q
-        coeffs.reverse()
-        lead = next(c for c in coeffs if c)
-        if lead == 1:
-            out.append(tuple(coeffs))
-    out.sort()
+    forms = next(coefficient_blocks(q, n, q**n))[1:]  # counter order is lex order
+    lead = forms[np.arange(len(forms)), (forms != 0).argmax(axis=1)]
+    out = [tuple(int(c) for c in row) for row in forms[lead == 1]]
     assert len(out) == (q**n - 1) // (q - 1)
     return out
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .algebra import ensure_prime
+from .algebra import coefficient_blocks, ensure_prime
 from .errors import StructureError
 from .estimator import check_budget
 
@@ -146,11 +146,8 @@ def homogenization_chain(
 
 
 def _assignment_rows(q: int, n_vars: int, budget: int | None) -> np.ndarray:
-    total = q**n_vars
-    check_budget(total, budget, "assignment enumeration")
-    powers = q ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    return (idx[:, None] // powers[None, :]) % q
+    check_budget(q**n_vars, budget, "assignment enumeration")
+    return next(coefficient_blocks(q, n_vars, q**n_vars))
 
 
 def vanishing_probability(

@@ -417,7 +417,7 @@ def criterion_squaring_chain() -> dict:
         # bound the memory
         for F in alg.coefficient_blocks(q, K, block_size=_SQUARING_BLOCK):
             for e in (0, 1):
-                T = mt._degree_tables(q, n, e)
+                T = np.concatenate([t for _, t in rmcode.codeword_tables(CodeParams(q, n, e))])
                 IP = (T @ F.T) % q  # <P_i, f_j>
                 S = F.sum(axis=1) % q  # <1, f_j>
                 for a in range(1, q):

@@ -74,12 +74,6 @@ class SZBoundReport:
     drop_count: int | None = None
     total: int | None = None
 
-    @property
-    def p_float(self) -> float:
-        if self.probability is not None:
-            return float(self.probability)
-        return float(self.estimate.p_hat)
-
 
 def degree_drop_probability(
     f: Polynomial,
@@ -151,25 +145,9 @@ def tight_witness(
         raise ValueError(f"degree {d} outside [0, {n * (q - 1)}]")
     if ordering is None:
         ordering = genbasis.FieldOrdering.natural(q)
-    basis = genbasis.basis_polys(ordering)
     u, v = divmod(d, q - 1)
-    out = Polynomial.one(q, n)
-    for i in range(u):
-        out = mul_reduced(out, _lift_univariate(basis[q - 1], n, i))
-    if v:
-        out = mul_reduced(out, _lift_univariate(basis[v], n, u))
-    return out
-
-
-def _lift_univariate(b: Polynomial, n: int, var: int) -> Polynomial:
-    """Interpret a univariate polynomial as one in X_{var+1} among n vars."""
-    q = b.q
-    terms = {}
-    for mon, c in b.terms():
-        exps = [0] * n
-        exps[var] = mon.exponents[0]
-        terms[tuple(exps)] = c
-    return Polynomial.from_terms(q, n, terms)
+    levels = ((q - 1,) * u + (v,) + (0,) * n)[:n]
+    return genbasis.GeneralizedMonomial(levels, ordering).as_polynomial()
 
 
 @dataclass(frozen=True)

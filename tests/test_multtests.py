@@ -1,5 +1,6 @@
 """The multiplier tests, their oracles, bounds and character views."""
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -447,6 +448,37 @@ class TestRobustExperiment:
         cfg = mt.TestConfig(CodeParams(2, 3, 0), e=1, k=2)
         with pytest.raises(ValueError):
             mt.robust_distance_experiment(Polynomial.zero(2, 3), cfg)
+
+    @pytest.mark.parametrize("q,n,d,e", [(2, 4, 0, 1), (3, 2, 1, 1), (5, 1, 0, 2)])
+    def test_counts_equal_per_multiplier_distances(self, q, n, d, e):
+        codewords = np.stack([g.evaluate_all().values for g in alg.all_polynomials(q, n, d + e)])
+        cfg = mt.TestConfig(CodeParams(q, n, d), e=e, k=1)
+        rng = np.random.default_rng(q * 10 + n)
+        for f in (
+            alg.random_polynomial(q, n, n * (q - 1), rng),
+            alg.random_polynomial(q, n, d + e + 1, rng),
+        ):
+            want = collections.Counter()
+            for p in alg.all_polynomials(q, n, e):
+                table = alg.mul_reduced(f, p).evaluate_all().values
+                want[int(np.count_nonzero(codewords != table, axis=1).min())] += 1
+            assert mt.robust_distance_experiment(f, cfg).distance_counts == want
+            with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", 1):
+                assert mt.robust_distance_experiment(f, cfg).distance_counts == want
+
+    def test_memory_is_bounded(self):
+        # the order-2 target over (2, 5) has 2^16 words: their tables alone
+        # are 16 MB of int64, so only a streamed scan stays under 12 MB
+        f = mt.hard_instance(2, 5, 2)
+        cfg = mt.TestConfig(CodeParams(2, 5, 1), e=1, k=1)
+        rep, peak = traced_peak(lambda: mt.robust_distance_experiment(f, cfg))
+        assert rep.distance_counts == {0: 8, 2: 48, 4: 8}
+        assert peak < 12 * 2**20
+        rep, peak = traced_peak(
+            lambda: mt.robust_distance_experiment(f, cfg, trials=10, seed=3)
+        )
+        assert rep.distance_counts == {2: 8, 4: 2}
+        assert peak < 12 * 2**20
 
 
 # (q, n, d) with q^n <= 81 and d + 1 <= n whose q^((d+1)n) direction

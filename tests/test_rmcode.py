@@ -1,5 +1,6 @@
 """Code membership, exact distances, duality and character indicators."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -83,6 +84,55 @@ class TestDistance:
         for q, n in ((2, 3), (3, 2)):
             for d in range(0, n * (q - 1) + 1):
                 assert rmcode.min_weight(CodeParams(q, n, d)) == sz_min_weight(q, n, d)
+
+
+@functools.lru_cache(maxsize=None)
+def all_codewords(q, n, d):
+    """Every polynomial of degree <= d in counter order, with its tables."""
+    polys = list(alg.all_polynomials(q, n, d))
+    return polys, np.stack([p.evaluate_all().values for p in polys])
+
+
+# (q, n, d) with q^n <= 64 whose codes the brute force scans in well under
+# a second
+COSET_CASES = [
+    (q, n, d)
+    for q in (2, 3, 5)
+    for n in range(1, 7)
+    if q**n <= 64
+    for d in range(n * (q - 1) + 1)
+    if CodeParams(q, n, d).size <= 2**12
+]
+
+
+class TestCosetDistances:
+    """The streamed kernel against a scan of every codeword in counter order."""
+
+    @given(st.sampled_from(COSET_CASES), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, case, seed, data):
+        q, n, d = case
+        code = CodeParams(q, n, d)
+        polys, tables = all_codewords(q, n, d)
+        rng = np.random.default_rng(seed)
+        members = data.draw(st.lists(st.booleans(), min_size=1, max_size=5))
+        rows = np.stack(
+            [tables[rng.integers(len(tables))] if m else rng.integers(0, q, q**n) for m in members]
+        )
+        scan = np.count_nonzero(tables[None, :, :] != rows[:, None, :], axis=2)
+        want, first = scan.min(axis=1), scan.argmin(axis=1)
+        assert not want[np.array(members)].any()
+        idx = alg.monomial_indices_up_to_degree(q, n, d)
+        for cells in (rmcode._PRODUCT_BLOCK_CELLS, 1, 37):
+            with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", cells):
+                dists, nearest = rmcode.coset_distances(code, rows)
+            np.testing.assert_array_equal(dists, want)
+            for row, dist, coeffs, j in zip(rows, dists, nearest, first):
+                word = np.zeros(q**n, dtype=np.int64)
+                word[idx] = coeffs
+                table = Polynomial(q, n, word).evaluate_all().values
+                assert np.count_nonzero(table != row) == dist
+                assert Polynomial(q, n, word) == polys[j]
 
 
 class TestWeightDistribution:
