@@ -418,11 +418,16 @@ def robust_distance_experiment(
 ) -> RobustReport:
     """Distribution of the exact distance of f*P from the order-(d+e) code.
 
-    Exact mode (trials=None) enumerates every multiplier P, a block at a
-    time; sampled mode draws them from seeded streams.  The distances come
-    from rmcode.coset_distances, which streams the target code.  Reports the
-    full distance distribution and the fraction below / at-or-below each
-    candidate radius, which is the quantity the robustness statements bound.
+    Exact mode (trials=None) enumerates the multipliers P a block at a
+    time, but compares only one per scalar class: dist(a*f*P, C) =
+    dist(f*P, C) for a != 0, so P = 0 and the P whose leading nonzero
+    coefficient is 1 are compared, and each of the latter counts q - 1
+    times; samples is still q^M.  Sampled mode draws the multipliers from
+    seeded streams.  The distances come from rmcode.coset_distances, which
+    shifts rows against the target code's cached low-codeword table.
+    Reports the full distance distribution and the fraction below /
+    at-or-below each candidate radius, which is the quantity the robustness
+    statements bound.
     """
     if cfg.k != 1:
         raise ValueError("the robustness experiment multiplies by a single P")
@@ -434,9 +439,13 @@ def robust_distance_experiment(
         check_budget(count * target.size, budget, "multiplier x coset enumeration")
         ftab = f.evaluate_all().values
         multipliers = CodeParams(q, n, min(cfg.e, n * (q - 1)))
-        dists = np.concatenate(
-            [coset_distances(target, t * ftab % q)[0] for _, t in codeword_tables(multipliers)]
-        )
+        parts = []
+        for block, tables in codeword_tables(multipliers):
+            lead = block[np.arange(len(block)), (block != 0).argmax(axis=1)]
+            keep = lead <= 1  # P = 0 (lead 0) and one P per scalar class
+            dists = coset_distances(target, tables[keep] * ftab % q)[0]
+            parts.append(np.repeat(dists, np.where(lead[keep] == 1, q - 1, 1)))
+        dists = np.concatenate(parts)
         mode, samples, seed_out = "exact", len(dists), None
     else:
         rows = []

@@ -11,6 +11,7 @@ dual checked on the way.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +32,14 @@ from .algebra import (
 )
 from .estimator import check_budget, get_budget, trial_rng
 
-# Table cells (2 MB of int64) per block: codeword_tables yields this many
-# per block, coset_distances compares this many per step,
+# Table cells per block (2^18).  A code's cached low-codeword table holds at
+# most this many (one byte each for q <= 128), the coset kernel compares this
+# many per step and builds its offsets this many at a time, codeword_tables
+# yields int64 blocks of at most this many (2 MB),
 # product_degree_counts and high_coefficient_maps interpolate this many per
 # call and the streamed character averages tally this many residues at a
-# time; the transform and the degree scan hold about two more arrays of this
-# size.
+# time; the transform and the degree scan hold about two more int64 arrays
+# of this size.
 _PRODUCT_BLOCK_CELLS = (2 << 20) // 8
 
 
@@ -102,15 +105,65 @@ def generator_matrix(code: CodeParams) -> np.ndarray:
     )
 
 
+def _reduce_once(a: np.ndarray, q: int) -> None:
+    """a %= q in place for an unsigned array with entries below 2q: a - q
+    wraps around above a exactly when a < q."""
+    np.minimum(a, a - q, out=a)
+
+
+@functools.lru_cache(maxsize=16)
+def _code_split(code: CodeParams, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) of the code for blocks of cells table cells.
+
+    low holds the codewords spanned by the last m generator rows, in counter
+    order, with q^m * q^n <= cells (m = 0 when one table is already larger);
+    high holds the other generator rows.  Every codeword is an offset (a
+    combination of the high rows) plus a row of low.  low is built
+    additively, one broadcast add per generator row, in the narrowest
+    unsigned dtype that holds 2q - 2; high is kept in the same dtype.  Both
+    are read-only.
+    """
+    q, K = code.q, code.q**code.n
+    gen = generator_matrix(code)
+    m = 0
+    while m < len(gen) and q ** (m + 1) * K <= cells:
+        m += 1
+    dtype = np.min_scalar_type(2 * q - 2)
+    low = np.zeros((1, K), dtype=dtype)
+    for row in gen[len(gen) - m :]:
+        # a * row for every a, reduced in int64 before narrowing
+        multiples = (np.arange(q)[:, None] * row % q).astype(dtype)
+        low = (low[:, None, :] + multiples[None, :, :]).reshape(-1, K)
+        _reduce_once(low, q)
+    high = gen[: len(gen) - m].astype(dtype)
+    low.flags.writeable = False
+    high.flags.writeable = False
+    return high, low
+
+
+def _offsets(code: CodeParams, high: np.ndarray, sign: int):
+    """Yield sign * (digits @ high) mod q, in high's dtype, for every digit
+    vector over the high rows in counter order; built in blocks of at most
+    _PRODUCT_BLOCK_CELLS cells."""
+    rows = max(1, _PRODUCT_BLOCK_CELLS // high.shape[1])
+    for digits in coefficient_blocks(code.q, len(high), rows):
+        yield from ((sign * digits) @ high % code.q).astype(high.dtype)
+
+
 def codeword_tables(code: CodeParams):
     """Yield (coefficient rows, evaluation rows) over the whole code, the
-    coefficients over generator_matrix's rows in counter order."""
-    gen = generator_matrix(code)
-    rows = max(1, _PRODUCT_BLOCK_CELLS // code.q**code.n)
-    for block in coefficient_blocks(code.q, len(gen), rows):
-        tables = block @ gen
-        tables %= code.q
-        yield block, tables
+    coefficients over generator_matrix's rows in counter order.
+
+    Each block is the cached low table shifted by one offset: q^m int64
+    rows, at most _PRODUCT_BLOCK_CELLS cells (one row when a table alone
+    is larger).
+    """
+    high, low = _code_split(code, _PRODUCT_BLOCK_CELLS)
+    blocks = coefficient_blocks(code.q, code.dimension, len(low))
+    for coeffs, off in zip(blocks, _offsets(code, high, 1)):
+        tables = low + off
+        _reduce_once(tables, code.q)
+        yield coeffs, tables.astype(np.int64)
 
 
 def product_degree_counts(
@@ -172,28 +225,43 @@ def high_coefficient_maps(
     return maps
 
 
+def _coset_weights(code: CodeParams, rows: np.ndarray):
+    """Yield (h, start, weights) with weights[i, j] the Hamming distance, as
+    int32, from rows[start + i] to the codeword h * q^m + j in counter
+    order: offset h plus row j of the cached low table.
+
+    The code is linear, so wt(row - offset - low_j) = #[(row - offset) !=
+    low_j]: each offset only shifts the rows, and every compare is against
+    the same low table, at most _PRODUCT_BLOCK_CELLS cells per step.
+    """
+    high, low = _code_split(code, _PRODUCT_BLOCK_CELLS)
+    rows = rows.astype(low.dtype)
+    step = max(1, _PRODUCT_BLOCK_CELLS // low.size)  # rows per compare
+    for h, off in enumerate(_offsets(code, high, -1)):
+        for start in range(0, len(rows), step):
+            shifted = rows[start : start + step] + off
+            _reduce_once(shifted, code.q)
+            yield h, start, (shifted[:, None, :] != low).sum(axis=2, dtype=np.int32)
+
+
 def coset_distances(code: CodeParams, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """dists[i] = least Hamming distance from the evaluation table rows[i] to
     the code; nearest[i] = the coefficients (over generator_matrix's rows) of
     the first codeword at that distance in counter order.
 
-    The codewords are streamed from codeword_tables and compared with the
-    rows at most _PRODUCT_BLOCK_CELLS cells at a time, so memory does not
-    grow with the code.
+    The weights come from _coset_weights, so memory does not grow with the
+    code.  Offsets come in counter order, argmin keeps the first low row and
+    a later offset must be strictly closer, which keeps the tie rule.
     """
-    best = np.full(len(rows), np.iinfo(np.int64).max)
-    nearest = np.zeros((len(rows), code.dimension), dtype=np.int64)
-    for block, tables in codeword_tables(code):
-        step = max(1, _PRODUCT_BLOCK_CELLS // tables.size)  # rows per compare
-        for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
-            dists = np.count_nonzero(tables[None, :, :] != chunk[:, None, :], axis=2)
-            j = dists.argmin(axis=1)
-            dj = dists[np.arange(len(chunk)), j]
-            closer = np.flatnonzero(dj < best[start : start + step])
-            best[start + closer] = dj[closer]
-            nearest[start + closer] = block[j[closer]]
-    return best, nearest
+    best = np.full(len(rows), code.q**code.n + 1)  # above every distance
+    index = np.zeros(len(rows), dtype=np.int64)
+    for h, start, weights in _coset_weights(code, rows):
+        j, dj = weights.argmin(axis=1), weights.min(axis=1)
+        closer = np.flatnonzero(dj < best[start : start + len(dj)])
+        best[start + closer] = dj[closer]
+        index[start + closer] = h * weights.shape[1] + j[closer]
+    powers = code.q ** np.arange(code.dimension - 1, -1, -1, dtype=np.int64)
+    return best, index[:, None] // powers % code.q
 
 
 def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> DistanceResult:
@@ -209,14 +277,14 @@ def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> Dist
 
 
 def weight_distribution(code: CodeParams, budget: int | None = None) -> np.ndarray:
-    """counts[w] = number of codewords of Hamming weight w, by enumeration."""
+    """counts[w] = number of codewords of Hamming weight w, by enumeration:
+    the coset weights of the zero row."""
     check_budget(code.size, budget, "code enumeration")
-    counts = np.zeros(code.q**code.n + 1, dtype=object)
-    for _, tables in codeword_tables(code):
-        w = np.count_nonzero(tables, axis=1)
-        for wt, c in zip(*np.unique(w, return_counts=True)):
-            counts[int(wt)] += int(c)
-    return counts
+    K = code.q**code.n
+    counts = np.zeros(K + 1, dtype=np.int64)
+    for _, _, weights in _coset_weights(code, np.zeros((1, K), dtype=np.int64)):
+        counts += np.bincount(weights.ravel(), minlength=K + 1)
+    return counts.astype(object)
 
 
 def _krawtchouk(npoints: int, q: int, w: int, j: int) -> int:

@@ -449,8 +449,11 @@ class TestRobustExperiment:
         with pytest.raises(ValueError):
             mt.robust_distance_experiment(Polynomial.zero(2, 3), cfg)
 
-    @pytest.mark.parametrize("q,n,d,e", [(2, 4, 0, 1), (3, 2, 1, 1), (5, 1, 0, 2)])
+    @pytest.mark.parametrize(
+        "q,n,d,e", [(2, 4, 0, 1), (3, 2, 1, 1), (5, 1, 0, 2), (7, 1, 0, 2), (3, 3, 0, 1)]
+    )
     def test_counts_equal_per_multiplier_distances(self, q, n, d, e):
+        # exact mode compares one multiplier per scalar class; this scans all
         codewords = np.stack([g.evaluate_all().values for g in alg.all_polynomials(q, n, d + e)])
         cfg = mt.TestConfig(CodeParams(q, n, d), e=e, k=1)
         rng = np.random.default_rng(q * 10 + n)
@@ -462,7 +465,10 @@ class TestRobustExperiment:
             for p in alg.all_polynomials(q, n, e):
                 table = alg.mul_reduced(f, p).evaluate_all().values
                 want[int(np.count_nonzero(codewords != table, axis=1).min())] += 1
-            assert mt.robust_distance_experiment(f, cfg).distance_counts == want
+            rep = mt.robust_distance_experiment(f, cfg)
+            assert rep.distance_counts == want
+            total = q ** combin.monomial_count(q, n, e)
+            assert rep.samples == sum(rep.distance_counts.values()) == total
             with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", 1):
                 assert mt.robust_distance_experiment(f, cfg).distance_counts == want
 

@@ -1,6 +1,8 @@
 """Code membership, exact distances, duality and character indicators."""
 
 import functools
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -105,6 +107,40 @@ COSET_CASES = [
 ]
 
 
+# (q, d) over n = 1 at large q, codes of at most 2^12 words
+LARGE_Q_CASES = [(q, d) for q in (11, 13, 17) for d in range(q) if q ** (d + 1) <= 2**12]
+
+
+def mds_weights(q, length, k):
+    """Weight distribution of an [length, k] MDS code over F_q (MacWilliams
+    and Sloane, ch. 11, thm 6); the order-d code over n = 1 and its dual are
+    MDS."""
+    dmin = length - k + 1
+    out = [1] + [0] * length
+    for w in range(dmin, length + 1):
+        out[w] = math.comb(length, w) * (q - 1) * sum(
+            (-1) ** j * math.comb(w - 1, j) * q ** (w - dmin - j) for j in range(w - dmin + 1)
+        )
+    return np.array(out, dtype=object)
+
+
+def assert_matches_scan(code, rows):
+    """coset_distances at three cell budgets against a scan of every
+    codeword in counter order; returns the distances."""
+    q, n, d = code.q, code.n, code.d
+    polys, tables = all_codewords(q, n, d)
+    scan = np.count_nonzero(tables[None, :, :] != rows[:, None, :], axis=2)
+    idx = alg.monomial_indices_up_to_degree(q, n, d)
+    for cells in (rmcode._PRODUCT_BLOCK_CELLS, 1, 37):
+        with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", cells):
+            dists, nearest = rmcode.coset_distances(code, rows)
+        np.testing.assert_array_equal(dists, scan.min(axis=1))
+        words = np.zeros((len(rows), q**n), dtype=np.int64)
+        words[:, idx] = nearest
+        assert [Polynomial(q, n, w) for w in words] == [polys[j] for j in scan.argmin(axis=1)]
+    return dists
+
+
 class TestCosetDistances:
     """The streamed kernel against a scan of every codeword in counter order."""
 
@@ -112,27 +148,27 @@ class TestCosetDistances:
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, case, seed, data):
         q, n, d = case
-        code = CodeParams(q, n, d)
-        polys, tables = all_codewords(q, n, d)
+        _, tables = all_codewords(q, n, d)
         rng = np.random.default_rng(seed)
         members = data.draw(st.lists(st.booleans(), min_size=1, max_size=5))
         rows = np.stack(
             [tables[rng.integers(len(tables))] if m else rng.integers(0, q, q**n) for m in members]
         )
-        scan = np.count_nonzero(tables[None, :, :] != rows[:, None, :], axis=2)
-        want, first = scan.min(axis=1), scan.argmin(axis=1)
-        assert not want[np.array(members)].any()
-        idx = alg.monomial_indices_up_to_degree(q, n, d)
+        dists = assert_matches_scan(CodeParams(q, n, d), rows)
+        assert not dists[np.array(members)].any()
+
+    @pytest.mark.parametrize("q,d", LARGE_Q_CASES)
+    def test_large_q_matches_brute_force(self, q, d):
+        # one-byte tables hold 2q - 2; the generator multiples reach (q-1)^2
+        code = CodeParams(q, 1, d)
+        _, tables = all_codewords(q, 1, d)
+        rng = np.random.default_rng(q * 10 + d)
+        rows = np.concatenate([rng.integers(0, q, (4, q)), tables[rng.integers(len(tables), size=2)]])
+        assert not assert_matches_scan(code, rows)[4:].any()
+        via_dual = rmcode.macwilliams_transform(mds_weights(q, q, q - 1 - d), q, q)
         for cells in (rmcode._PRODUCT_BLOCK_CELLS, 1, 37):
             with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", cells):
-                dists, nearest = rmcode.coset_distances(code, rows)
-            np.testing.assert_array_equal(dists, want)
-            for row, dist, coeffs, j in zip(rows, dists, nearest, first):
-                word = np.zeros(q**n, dtype=np.int64)
-                word[idx] = coeffs
-                table = Polynomial(q, n, word).evaluate_all().values
-                assert np.count_nonzero(table != row) == dist
-                assert Polynomial(q, n, word) == polys[j]
+                assert list(rmcode.weight_distribution(code)) == list(via_dual)
 
 
 class TestWeightDistribution:
@@ -148,6 +184,36 @@ class TestWeightDistribution:
     def test_total_is_code_size(self):
         code = CodeParams(3, 2, 2)
         assert sum(int(c) for c in rmcode.weight_distribution(code)) == code.size
+
+    def test_patched_cell_budget_is_honoured(self):
+        # (2,5,2): 2^16 words of 32 cells; at 2^8 cells the low table has
+        # 2^3 rows and the 2^13 offsets come in blocks of 2^3
+        code = CodeParams(2, 5, 2)
+        want = rmcode.weight_distribution(code)
+        cells = 2**8
+        blocks = []
+
+        def spy(q, count, rows):
+            for block in alg.coefficient_blocks(q, count, rows):
+                blocks.append((count, block.shape[0]))
+                yield block
+
+        with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", cells):
+            high, low = rmcode._code_split(code, cells)
+            assert low.size <= cells and len(high) == 13
+            with mock.patch.object(rmcode, "coefficient_blocks", spy):
+                assert list(rmcode.weight_distribution(code)) == list(want)
+            tracemalloc.start()
+            try:
+                rmcode.weight_distribution(code)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        offset_blocks = [rows for count, rows in blocks if count == len(high)]
+        assert len(offset_blocks) > 1
+        assert sum(offset_blocks) == 2**13
+        assert max(offset_blocks) * 32 <= cells
+        assert peak < 2**20
 
     def test_min_weight_uses_dual_when_needed(self):
         # force the dual route with a small budget that still fits the dual
