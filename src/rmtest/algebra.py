@@ -668,14 +668,6 @@ class EvalTable:
         object.__setattr__(table, "values", arr)
         return table
 
-    def _check(self, other: "EvalTable") -> None:
-        if self.q != other.q or self.n != other.n:
-            raise ParamsMismatchError("tables live over different (q, n)")
-
-    def pointwise_mul(self, other: "EvalTable") -> "EvalTable":
-        self._check(other)
-        return EvalTable(self.q, self.n, self.values * other.values % self.q)
-
     def interpolate(self) -> Polynomial:
         return interpolate(self)
 
@@ -847,23 +839,6 @@ def poly_from_text(text: str) -> Polynomial:
             key = tuple(exps)
             terms[key] = (terms.get(key, 0) + coeff) % q
     return Polynomial.from_terms(q, n, terms)
-
-
-def table_to_text(t: EvalTable) -> str:
-    body = " ".join(str(int(v)) for v in t.values)
-    return f"q={t.q} n={t.n}\n{body}\n"
-
-
-def table_from_text(text: str) -> EvalTable:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    m = re.match(r"\s*q\s*=\s*(\d+)\s+n\s*=\s*(\d+)\s*$", lines[0])
-    if not m:
-        raise ValueError(f"malformed table header in {lines[0]!r}")
-    q, n = int(m.group(1)), int(m.group(2))
-    vals = [int(v) for ln in lines[1:] for v in ln.split()]
-    if len(vals) != q**n:
-        raise ValueError(f"expected {q**n} values, got {len(vals)}")
-    return EvalTable(q, n, vals)
 
 
 def all_polynomials(q: int, n: int, d: int | None = None) -> Iterator[Polynomial]:

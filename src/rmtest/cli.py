@@ -121,18 +121,14 @@ def cmd_sz(args) -> int:
     else:
         f = sztest.tight_witness(args.q, args.n, args.d, ordering)
         witness = True
-    if args.exact:
-        rep = sztest.degree_drop_probability(f, args.e, args.s, budget=args.budget)
-        p = rep.probability
-        ci = None
-        mode = "exact"
+    rep = sztest.degree_drop_probability(
+        f, args.e, args.s, None if args.exact else args.trials, args.seed, args.budget
+    )
+    mode = rep.mode  # a vacuous query is answered exactly in either mode
+    if mode == "exact":
+        p, ci = rep.probability, None
     else:
-        rep = sztest.degree_drop_probability(
-            f, args.e, args.s, trials=args.trials, seed=args.seed, budget=args.budget
-        )
-        p = rep.estimate.p_hat
-        ci = (rep.estimate.ci_low, rep.estimate.ci_high)
-        mode = "sampled"
+        p, ci = rep.estimate.p_hat, (rep.estimate.ci_low, rep.estimate.ci_high)
     equal = mode == "exact" and p == rep.extremal_bound
     report = {
         "command": "sz",
@@ -218,6 +214,16 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
+def _probability(args, exact, event):
+    """(mode, accept_count, total, p, ci): the Fraction exact() under --exact,
+    else the estimate of event over --trials seeded trials."""
+    if args.exact:
+        p = exact()
+        return "exact", p.numerator, p.denominator, p, None
+    res = estimate(event, args.trials, args.seed)
+    return "sampled", res.successes, res.trials, res.p_hat, (res.ci_low, res.ci_high)
+
+
 def _emit_expectation(report: dict, args) -> int:
     """Record whether p_hat met --expect-min / --expect-max, emit, exit."""
     p = float(report["p_hat"])
@@ -249,21 +255,15 @@ def cmd_test_ek(args) -> int:
     cfg = mt.TestConfig(CodeParams(f.q, f.n, args.d), e=args.e, k=args.k)
     params = {"q": f.q, "n": f.n, "d": args.d, "e": args.e, "k": args.k}
     bp, premise, delta = _bound_fields(cfg, f, args)
-    if args.exact:
-        p = mt.exact_acceptance_probability(f, cfg, args.budget)
-        report = _test_report(
-            "test-ek", params, "exact", p.numerator, p.denominator, p, None,
-            bp.bound if bp else None, bp.vacuous if bp else None, args.seed,
-        )
-    else:
-        res = estimate(
-            lambda rng: mt.test_e_k(f, cfg, rng), args.trials, args.seed
-        )
-        report = _test_report(
-            "test-ek", params, "sampled", res.successes, res.trials, res.p_hat,
-            (res.ci_low, res.ci_high), bp.bound if bp else None,
-            bp.vacuous if bp else None, args.seed,
-        )
+    result = _probability(
+        args,
+        lambda: mt.exact_acceptance_probability(f, cfg, args.budget),
+        lambda rng: mt.test_e_k(f, cfg, rng),
+    )
+    report = _test_report(
+        "test-ek", params, *result, bp.bound if bp else None,
+        bp.vacuous if bp else None, args.seed,
+    )
     report["test_vacuous"] = cfg.vacuous
     report["delta"] = delta
     if premise is not None:
@@ -280,18 +280,12 @@ def cmd_corr_h(args) -> int:
     h = mt.UnivariatePoly(f.q, coeffs)
     cfg = mt.TestConfig(CodeParams(f.q, f.n, args.d), e=args.e, k=h.degree)
     params = {"q": f.q, "n": f.n, "d": args.d, "e": args.e, "k": h.degree}
-    if args.exact:
-        p = mt.exact_corr_h_probability(f, cfg, h, args.budget)
-        report = _test_report(
-            "corr-h", params, "exact", p.numerator, p.denominator, p, None, None, None,
-            args.seed,
-        )
-    else:
-        res = estimate(lambda rng: mt.corr_h(f, cfg, h, rng), args.trials, args.seed)
-        report = _test_report(
-            "corr-h", params, "sampled", res.successes, res.trials, res.p_hat,
-            (res.ci_low, res.ci_high), None, None, args.seed,
-        )
+    result = _probability(
+        args,
+        lambda: mt.exact_corr_h_probability(f, cfg, h, args.budget),
+        lambda rng: mt.corr_h(f, cfg, h, rng),
+    )
+    report = _test_report("corr-h", params, *result, None, None, args.seed)
     report["h"] = list(coeffs)
     return _emit_expectation(report, args)
 
@@ -324,12 +318,12 @@ def cmd_robust(args) -> int:
     }
     held = True
     if args.check_reduction and rep.mode == "exact":
-        checks = {}
-        for dp in report["fraction_at_most"]:
-            lhs, rhs, ok = mt.reduction_check(f, cfg, int(dp), args.budget)
-            checks[dp] = {"lucky": float(lhs), "bound": float(rhs), "held": ok}
-            held &= ok
-        report["reduction"] = checks
+        checks = mt.reduction_check(f, cfg, tuple(sorted(rep.fraction_at_most)), args.budget)
+        report["reduction"] = {
+            str(dp): {"lucky": float(lhs), "bound": float(rhs), "held": ok}
+            for dp, (lhs, rhs, ok) in checks.items()
+        }
+        held = all(ok for _, _, ok in checks.values())
     report["relation_held"] = held
     _emit(report, args)
     if args.csv:
@@ -345,20 +339,14 @@ def cmd_akklr(args) -> int:
     f = _load_poly(args.poly)
     code = CodeParams(f.q, f.n, args.d)
     params = {"q": f.q, "n": f.n, "d": args.d}
-    if args.exact:
-        pr = mt.akklr_exact_rejection_probability(f, code, args.budget)
-        report = _test_report(
-            "akklr", params, "exact",
-            (1 - pr).numerator, (1 - pr).denominator, 1 - pr, None, None, None, args.seed,
-        )
-        report["rejection_probability"] = float(pr)
-    else:
-        res = estimate(lambda rng: mt.akklr_test(f, code, rng), args.trials, args.seed)
-        report = _test_report(
-            "akklr", params, "sampled", res.successes, res.trials, res.p_hat,
-            (res.ci_low, res.ci_high), None, None, args.seed,
-        )
-        report["rejection_probability"] = 1 - float(res.p_hat)
+    mode, accepted, total, p, ci = _probability(
+        args,
+        lambda: 1 - mt.akklr_exact_rejection_probability(f, code, args.budget),
+        lambda rng: mt.akklr_test(f, code, rng),
+    )
+    report = _test_report("akklr", params, mode, accepted, total, p, ci, None, None, args.seed)
+    # exact: the rejection Fraction rounded once; sampled: as the estimate reads
+    report["rejection_probability"] = float(1 - p) if mode == "exact" else 1 - float(p)
     report["relation_held"] = True
     _emit(report, args)
     return EXIT_OK

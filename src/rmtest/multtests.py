@@ -16,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import median
 
 import numpy as np
 
@@ -408,6 +407,32 @@ class RobustReport:
     seed: int | None = None
 
 
+def _class_products(ftab: np.ndarray, multipliers: CodeParams):
+    """Yield (tables of f*P, weights) a block of multipliers P at a time, one
+    P per scalar class: dist(a*f*P, C) = dist(f*P, C) for a != 0, so P = 0
+    (weight 1) and the P whose leading nonzero coefficient is 1 (weight
+    q - 1) stand for all q^M multipliers."""
+    q = multipliers.q
+    for block, tables in codeword_tables(multipliers):
+        lead = block[np.arange(len(block)), (block != 0).argmax(axis=1)]
+        keep = lead <= 1
+        yield tables[keep] * ftab % q, np.where(lead[keep] == 1, q - 1, 1)
+
+
+def _sampled_products(f: Polynomial, e: int, trials: int, seed: int):
+    """Yield (tables of f*P, weight 1) for the seeded multipliers of trials
+    0..trials-1, at most _PRODUCT_BLOCK_CELLS // q^n trials a block."""
+    q, n = f.q, f.n
+    streams = _trial_streams(seed, trials)
+    step = max(1, rmcode._PRODUCT_BLOCK_CELLS // q**n)
+    for _ in range(0, trials, step):
+        rows = [
+            mul_reduced(f, random_polynomial(q, n, e, rng)).evaluate_all().values
+            for rng in itertools.islice(streams, step)
+        ]
+        yield np.stack(rows), 1
+
+
 def robust_distance_experiment(
     f: Polynomial,
     cfg: TestConfig,
@@ -418,88 +443,76 @@ def robust_distance_experiment(
 ) -> RobustReport:
     """Distribution of the exact distance of f*P from the order-(d+e) code.
 
-    Exact mode (trials=None) enumerates the multipliers P a block at a
-    time, but compares only one per scalar class: dist(a*f*P, C) =
-    dist(f*P, C) for a != 0, so P = 0 and the P whose leading nonzero
-    coefficient is 1 are compared, and each of the latter counts q - 1
-    times; samples is still q^M.  Sampled mode draws the multipliers from
-    seeded streams.  The distances come from rmcode.coset_distances, which
-    shifts rows against the target code's cached low-codeword table.
-    Reports the full distance distribution and the fraction below /
-    at-or-below each candidate radius, which is the quantity the robustness
-    statements bound.
+    Exact mode (trials=None) enumerates the multipliers P, one per scalar
+    class with its multiplicity, so samples is q^M; sampled mode draws them
+    from seeded streams.  Both feed blocks of product tables through
+    rmcode.coset_distances into one histogram of the q^n + 1 distances, so
+    memory is bounded by _PRODUCT_BLOCK_CELLS, not by the samples, and every
+    field is read from it: the full distance distribution and the fraction
+    below / at-or-below each candidate radius, which is the quantity the
+    robustness statements bound.
     """
     if cfg.k != 1:
         raise ValueError("the robustness experiment multiplies by a single P")
     q, n = cfg.code.q, cfg.code.n
+    K = q**n
     target = CodeParams(q, n, min(cfg.code.d + cfg.e, n * (q - 1)))
     check_budget(target.size, budget, "coset enumeration")
     if trials is None:
-        count = q ** combin.monomial_count(q, n, cfg.e)
-        check_budget(count * target.size, budget, "multiplier x coset enumeration")
-        ftab = f.evaluate_all().values
+        samples = q ** combin.monomial_count(q, n, cfg.e)
+        check_budget(samples * target.size, budget, "multiplier x coset enumeration")
         multipliers = CodeParams(q, n, min(cfg.e, n * (q - 1)))
-        parts = []
-        for block, tables in codeword_tables(multipliers):
-            lead = block[np.arange(len(block)), (block != 0).argmax(axis=1)]
-            keep = lead <= 1  # P = 0 (lead 0) and one P per scalar class
-            dists = coset_distances(target, tables[keep] * ftab % q)[0]
-            parts.append(np.repeat(dists, np.where(lead[keep] == 1, q - 1, 1)))
-        dists = np.concatenate(parts)
-        mode, samples, seed_out = "exact", len(dists), None
+        blocks = _class_products(f.evaluate_all().values, multipliers)
+        mode, seed_out = "exact", None
     else:
-        rows = []
-        for rng in _trial_streams(seed, trials):
-            p = random_polynomial(q, n, cfg.e, rng)
-            rows.append(mul_reduced(f, p).evaluate_all().values)
-        dists = coset_distances(target, np.stack(rows))[0]
-        mode, samples, seed_out = "sampled", trials, seed
-    values, counts = np.unique(dists, return_counts=True)
-    dist_counts = {int(v): int(c) for v, c in zip(values, counts)}
+        if trials < 1:
+            raise ValueError("need at least one trial")
+        blocks = _sampled_products(f, cfg.e, trials, seed)
+        samples, mode, seed_out = trials, "sampled", seed
+    hist = np.zeros(K + 1, dtype=np.int64)
+    for tables, weights in blocks:
+        np.add.at(hist, coset_distances(target, tables)[0], weights)
+    present = np.flatnonzero(hist)
+    cum = np.cumsum(hist)  # cum[v] = samples at distance <= v
+
+    def at_most(dp: int) -> Fraction:
+        return Fraction(int(cum[min(dp, K)]) if dp >= 0 else 0, samples)
+
     if dprimes is None:
-        dprimes = tuple(range(0, int(values.max()) + 2))
-    below = {
-        int(dp): Fraction(int(np.count_nonzero(dists < dp)), samples) for dp in dprimes
-    }
-    at_most = {
-        int(dp): Fraction(int(np.count_nonzero(dists <= dp)), samples) for dp in dprimes
-    }
+        dprimes = tuple(range(0, int(present[-1]) + 2))
+    # the two middle order statistics, equal when samples is odd
+    lo, hi = np.searchsorted(cum, [(samples - 1) // 2, samples // 2], side="right")
     return RobustReport(
         mode,
         samples,
-        dist_counts,
-        below,
-        at_most,
-        int(values.min()),
-        float(median(sorted(int(x) for x in dists))),
+        {int(v): int(hist[v]) for v in present},
+        {int(dp): at_most(dp - 1) for dp in dprimes},
+        {int(dp): at_most(dp) for dp in dprimes},
+        int(present[0]),
+        float((lo + hi) / 2),
         seed_out,
     )
 
 
-def lucky_probability(
-    f: Polynomial, cfg: TestConfig, dprime: int, budget: int | None = None
-) -> Fraction:
-    """Exact probability that f*P lands within distance dprime of the
-    order-(d+e) code (the "lucky multiplier" event)."""
-    report = robust_distance_experiment(f, cfg, dprimes=(dprime,), budget=budget)
-    return report.fraction_at_most[dprime]
-
-
 def reduction_check(
-    f: Polynomial, cfg: TestConfig, dprime: int, budget: int | None = None
-) -> tuple[Fraction, Fraction, bool]:
-    """Both sides of the robustness reduction, exactly.
+    f: Polynomial, cfg: TestConfig, dprimes: tuple[int, ...], budget: int | None = None
+) -> dict[int, tuple[Fraction, Fraction, bool]]:
+    """Both sides of the robustness reduction, exactly, at every radius.
 
-    Left: the lucky probability at radius dprime.  Right: q^dprime times
-    the two-multiplier acceptance probability at order d+2e.  Returns
-    (left, right, left <= right).
+    Left: the probability that f*P lands within distance dprime of the
+    order-(d+e) code (the "lucky multiplier" event).  Right: q^dprime times
+    the two-multiplier acceptance probability at order d+2e.  One exact
+    experiment and one acceptance serve every radius.  Returns
+    {dprime: (left, right, left <= right)}.
     """
     pair_cfg = TestConfig(cfg.code, cfg.e, k=2)
-    rhs = Fraction(cfg.code.q**dprime) * exact_acceptance_probability(
-        f, pair_cfg, budget
-    )
-    lhs = lucky_probability(f, cfg, dprime, budget)
-    return lhs, rhs, lhs <= rhs
+    accept = exact_acceptance_probability(f, pair_cfg, budget)
+    lucky = robust_distance_experiment(f, cfg, dprimes, budget=budget).fraction_at_most
+    checks = {}
+    for dp in dprimes:
+        rhs = Fraction(cfg.code.q) ** dp * accept
+        checks[dp] = (lucky[dp], rhs, lucky[dp] <= rhs)
+    return checks
 
 
 # ---------------------------------------------------------------------------

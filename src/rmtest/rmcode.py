@@ -35,7 +35,8 @@ from .estimator import check_budget, get_budget, trial_rng
 # Table cells per block (2^18).  A code's cached low-codeword table holds at
 # most this many (one byte each for q <= 128), the coset kernel compares this
 # many per step and builds its offsets this many at a time, codeword_tables
-# yields int64 blocks of at most this many (2 MB),
+# yields int64 blocks of at most this many (2 MB), sampled robustness runs
+# stack their product tables in trial blocks of at most this many,
 # product_degree_counts and high_coefficient_maps interpolate this many per
 # call and the streamed character averages tally this many residues at a
 # time; the transform and the degree scan hold about two more int64 arrays

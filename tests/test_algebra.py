@@ -50,8 +50,8 @@ class TestReducedProduct:
         f = Polynomial.variable(2, 2, 0) + Polynomial.variable(2, 2, 1)
         prod = f * f
         assert prod == f  # X1 + X2 over F_2
-        tables = f.evaluate_all().pointwise_mul(f.evaluate_all())
-        assert prod.evaluate_all() == tables
+        values = f.evaluate_all().values
+        assert prod.evaluate_all() == EvalTable(2, 2, values * values % 2)
 
     def test_params_mismatch(self):
         with pytest.raises(ParamsMismatchError):
@@ -95,8 +95,8 @@ class TestReducedProduct:
             pairs = [(f, g) for f in polys for g in polys]
         for f, g in pairs:
             lhs = alg.mul_reduced(f, g).evaluate_all()
-            rhs = f.evaluate_all().pointwise_mul(g.evaluate_all())
-            assert lhs == rhs
+            rhs = f.evaluate_all().values * g.evaluate_all().values % q
+            assert lhs == EvalTable(q, n, rhs)
 
 
 def _product_dims():
@@ -487,10 +487,6 @@ class TestTextFormats:
     def test_zero(self):
         assert alg.poly_from_text("q=2 n=2: 0").is_zero()
         assert alg.poly_to_text(Polynomial.zero(2, 2)) == "q=2 n=2: 0"
-
-    def test_table_roundtrip(self):
-        t = EvalTable(3, 2, list(range(9)))
-        assert alg.table_from_text(alg.table_to_text(t)) == t
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,10 @@ EXACT_GOLDEN = {
         "sz", "--poly", "sz_2_6.poly", "--q", "2", "--n", "6", "--d", "3", "--e", "1",
         "--s", "1", "--exact",
     ],
+    "robust_2_4_exact.json": [
+        "robust", "--poly", "robust_2_4.poly", "--d", "1", "--e", "1", "--exact",
+        "--check-reduction", "--dprimes=-1,0,1,2,5",
+    ],
 }
 
 
@@ -138,6 +142,17 @@ class TestSZCommand:
         rep = json.loads(out.read_text())
         assert rep["mode"] == "sampled"
         assert rep["ci_low"] <= 0.5 <= rep["ci_high"]
+
+    def test_vacuous_sampled_query_is_exact(self, tmp_path):
+        # d + s = 3 > n(q-1) = 2: every product drops, so no trial is run
+        out = tmp_path / "sz.json"
+        code = run_cli(
+            "sz", "--q", "2", "--n", "2", "--d", "2", "--e", "1", "--s", "1",
+            "--trials", "10", "--quiet", "--json", str(out),
+        )
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert (rep["mode"], rep["probability"], rep["vacuous"]) == ("exact", 1.0, True)
 
     def test_custom_polynomial(self, cube_poly, tmp_path):
         out = tmp_path / "sz.json"

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import statistics
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from rmtest import algebra as alg, combin, multtests as mt, rmcode
 from rmtest.algebra import Polynomial
-from rmtest.estimator import trial_rng
+from rmtest.estimator import _trial_streams, trial_rng
 from rmtest.rmcode import CodeParams
 
 
@@ -416,6 +417,20 @@ class TestCharacterAverages:
                         assert lhs <= rhs.real + 1e-9
 
 
+def assert_report_matches(rep, dists, dprimes=None):
+    """Every field of a RobustReport against a plain list of distances;
+    dprimes=None expects the default radii 0 .. max + 1."""
+    assert rep.distance_counts == collections.Counter(dists)
+    assert rep.min_distance == min(dists)
+    assert rep.median_distance == float(statistics.median(dists))
+    if dprimes is None:
+        dprimes = range(max(dists) + 2)
+    assert set(rep.fraction_below) == set(rep.fraction_at_most) == set(dprimes)
+    for dp in dprimes:
+        assert rep.fraction_below[dp] == Fraction(sum(x < dp for x in dists), len(dists))
+        assert rep.fraction_at_most[dp] == Fraction(sum(x <= dp for x in dists), len(dists))
+
+
 class TestRobustExperiment:
     def test_member_all_zero(self):
         cfg = mt.TestConfig(CodeParams(2, 3, 0), e=1, k=1)
@@ -440,8 +455,7 @@ class TestRobustExperiment:
     def test_reduction_inequality_exhaustive(self):
         cfg = mt.TestConfig(CodeParams(2, 3, 0), e=1, k=1)
         for f in alg.all_polynomials(2, 3):
-            for dp in (1, 2):
-                lhs, rhs, held = mt.reduction_check(f, cfg, dp)
+            for dp, (lhs, rhs, held) in mt.reduction_check(f, cfg, (1, 2)).items():
                 assert held, (alg.poly_to_text(f), dp, lhs, rhs)
 
     def test_requires_single_multiplier(self):
@@ -453,7 +467,8 @@ class TestRobustExperiment:
         "q,n,d,e", [(2, 4, 0, 1), (3, 2, 1, 1), (5, 1, 0, 2), (7, 1, 0, 2), (3, 3, 0, 1)]
     )
     def test_counts_equal_per_multiplier_distances(self, q, n, d, e):
-        # exact mode compares one multiplier per scalar class; this scans all
+        # exact mode compares one multiplier per scalar class; this scans all.
+        # q^M samples: even at q = 2, odd at odd q
         codewords = np.stack([g.evaluate_all().values for g in alg.all_polynomials(q, n, d + e)])
         cfg = mt.TestConfig(CodeParams(q, n, d), e=e, k=1)
         rng = np.random.default_rng(q * 10 + n)
@@ -461,16 +476,53 @@ class TestRobustExperiment:
             alg.random_polynomial(q, n, n * (q - 1), rng),
             alg.random_polynomial(q, n, d + e + 1, rng),
         ):
-            want = collections.Counter()
-            for p in alg.all_polynomials(q, n, e):
-                table = alg.mul_reduced(f, p).evaluate_all().values
-                want[int(np.count_nonzero(codewords != table, axis=1).min())] += 1
+            tables = [
+                alg.mul_reduced(f, p).evaluate_all().values for p in alg.all_polynomials(q, n, e)
+            ]
+            dists = [int(np.count_nonzero(codewords != t, axis=1).min()) for t in tables]
             rep = mt.robust_distance_experiment(f, cfg)
-            assert rep.distance_counts == want
+            assert rep.distance_counts == collections.Counter(dists)
             total = q ** combin.monomial_count(q, n, e)
             assert rep.samples == sum(rep.distance_counts.values()) == total
-            with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", 1):
-                assert mt.robust_distance_experiment(f, cfg).distance_counts == want
+            assert_report_matches(rep, dists)
+            dprimes = (-1, 0, 1, 2, q**n + 5)
+            for cells in (rmcode._PRODUCT_BLOCK_CELLS, 1):
+                with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", cells):
+                    rep = mt.robust_distance_experiment(f, cfg, dprimes)
+                    assert_report_matches(rep, dists, dprimes)
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 100])
+    def test_sampled_report_equals_per_trial_loop(self, trials):
+        q, n, d, e = 3, 2, 0, 1
+        f = alg.random_polynomial(q, n, n * (q - 1), np.random.default_rng(61))
+        cfg = mt.TestConfig(CodeParams(q, n, d), e=e, k=1)
+        codewords = np.stack([g.evaluate_all().values for g in alg.all_polynomials(q, n, d + e)])
+        tables = [
+            alg.mul_reduced(f, alg.random_polynomial(q, n, e, rng)).evaluate_all().values
+            for rng in _trial_streams(9, trials)
+        ]
+        dists = [int(np.count_nonzero(codewords != t, axis=1).min()) for t in tables]
+        for cells in (rmcode._PRODUCT_BLOCK_CELLS, 1):
+            with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", cells):
+                for dprimes in (None, (-1, 0, 1, 2, q**n + 5)):
+                    rep = mt.robust_distance_experiment(f, cfg, dprimes, trials=trials, seed=9)
+                    assert (rep.mode, rep.samples, rep.seed) == ("sampled", trials, 9)
+                    assert_report_matches(rep, dists, dprimes)
+        with pytest.raises(ValueError):
+            mt.robust_distance_experiment(f, cfg, trials=0)
+
+    def test_sampled_memory_is_bounded_by_block_cells(self):
+        # 1000 tables of 256 cells are 2 MB of int64; trial blocks of 16
+        # keep the run far below that
+        f = mt.hard_instance(2, 8, 4)
+        cfg = mt.TestConfig(CodeParams(2, 8, 0), e=1, k=1)
+        with mock.patch.object(rmcode, "_PRODUCT_BLOCK_CELLS", 1 << 12):
+            mt.robust_distance_experiment(f, cfg, trials=2, seed=4)  # first-call imports
+            rep, peak = traced_peak(
+                lambda: mt.robust_distance_experiment(f, cfg, trials=1000, seed=4)
+            )
+        assert rep.samples == sum(rep.distance_counts.values()) == 1000
+        assert peak < 2**20
 
     def test_memory_is_bounded(self):
         # the order-2 target over (2, 5) has 2^16 words: their tables alone
