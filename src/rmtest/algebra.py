@@ -177,10 +177,6 @@ class Monomial:
     def one(cls, q: int, n: int) -> "Monomial":
         return cls(q, (0,) * n)
 
-    def dominates(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a >= b for a, b in zip(self.exponents, other.exponents))
-
     def is_disjoint(self, other: "Monomial") -> bool:
         """True iff the reduced and unreduced products agree."""
         self._check(other)
@@ -213,8 +209,9 @@ class Monomial:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_mod_matrix(mat: np.ndarray, q: int) -> np.ndarray:
+def inverse_mod_matrix(mat: Sequence[Sequence[int]], q: int) -> np.ndarray:
     """Inverse of a square matrix over F_q by Gauss-Jordan elimination."""
+    mat = np.asarray(mat, dtype=np.int64)
     m = mat.shape[0]
     aug = np.concatenate([mat % q, np.eye(m, dtype=np.int64)], axis=1)
     for col in range(m):
@@ -228,10 +225,6 @@ def _inverse_mod_matrix(mat: np.ndarray, q: int) -> np.ndarray:
             if r != col and aug[r, col]:
                 aug[r] = (aug[r] - aug[r, col] * aug[col]) % q
     return aug[:, m:]
-
-
-def inverse_mod_matrix(mat: Sequence[Sequence[int]], q: int) -> np.ndarray:
-    return _inverse_mod_matrix(np.asarray(mat, dtype=np.int64), q)
 
 
 def rank_mod(mat: np.ndarray, q: int):
@@ -285,7 +278,7 @@ def _vandermonde(q: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _vandermonde_inv(q: int) -> np.ndarray:
-    v = _inverse_mod_matrix(_vandermonde(q), q)
+    v = inverse_mod_matrix(_vandermonde(q), q)
     v.flags.writeable = False
     return v
 
@@ -667,9 +660,6 @@ class EvalTable:
         object.__setattr__(table, "n", n)
         object.__setattr__(table, "values", arr)
         return table
-
-    def interpolate(self) -> Polynomial:
-        return interpolate(self)
 
     def support_size(self) -> int:
         return int(np.count_nonzero(self.values))

@@ -53,7 +53,9 @@ def _load_poly(path: str) -> alg.Polynomial:
         return alg.poly_from_text(fh.read())
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, csv_table=None) -> None:
+    """Print and save the JSON report; --csv gets csv_table, a (columns,
+    rows) pair, or else the report flattened onto REPORT_COLUMNS."""
     text = json.dumps(report, indent=2) + "\n"
     if not args.quiet:
         sys.stdout.write(text)
@@ -61,12 +63,11 @@ def _emit(report: dict, args) -> None:
         with open(args.json, "w") as fh:
             fh.write(text)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
-            writer.writeheader()
+        if csv_table is None:
             flat = dict(report.get("params", {}))
             flat.update({k: v for k, v in report.items() if not isinstance(v, (dict, list))})
-            writer.writerow(flat)
+            csv_table = (REPORT_COLUMNS, [[flat.get(c) for c in REPORT_COLUMNS]])
+        _write_rows(args.csv, *csv_table, True)
 
 
 def _write_rows(path_or_stdout, columns, rows, quiet):
@@ -109,17 +110,28 @@ def _test_report(command, params, mode, accept_count, total, p_hat, ci, bound, v
 # ---------------------------------------------------------------------------
 
 
+def _ordering(args, q: int) -> genbasis.FieldOrdering:
+    if args.ordering == "reverse":
+        return genbasis.FieldOrdering.reversed_natural(q)
+    return genbasis.FieldOrdering.natural(q)
+
+
+def _usage_error(message: str) -> int:
+    """Report a usage error the way argparse does: on stderr, exit code 2."""
+    sys.stderr.write(f"rmtest: error: {message}\n")
+    return 2
+
+
 def cmd_sz(args) -> int:
-    ordering = (
-        genbasis.FieldOrdering.reversed_natural(args.q)
-        if args.ordering == "reverse"
-        else genbasis.FieldOrdering.natural(args.q)
-    )
     if args.poly:
         f = _load_poly(args.poly)
+        if (f.q, f.n) != (args.q, args.n):
+            return _usage_error(
+                f"--poly {args.poly} has q={f.q} n={f.n}, not --q {args.q} --n {args.n}"
+            )
         witness = False
     else:
-        f = sztest.tight_witness(args.q, args.n, args.d, ordering)
+        f = sztest.tight_witness(args.q, args.n, args.d, _ordering(args, args.q))
         witness = True
     rep = sztest.degree_drop_probability(
         f, args.e, args.s, None if args.exact else args.trials, args.seed, args.budget
@@ -176,11 +188,7 @@ def cmd_combin(args) -> int:
 
 def cmd_basis_dump(args) -> int:
     f = _load_poly(args.poly)
-    ordering = (
-        genbasis.FieldOrdering.reversed_natural(f.q)
-        if args.ordering == "reverse"
-        else genbasis.FieldOrdering.natural(f.q)
-    )
+    ordering = _ordering(args, f.q)
     lines = [
         f"({','.join(str(i) for i in idx)}) -> {c}"
         for idx, c in genbasis.generalized_terms(f, ordering)
@@ -291,6 +299,8 @@ def cmd_corr_h(args) -> int:
 
 
 def cmd_robust(args) -> int:
+    if args.check_reduction and not args.exact:
+        return _usage_error("--check-reduction needs --exact")
     f = _load_poly(args.poly)
     cfg = mt.TestConfig(CodeParams(f.q, f.n, args.d), e=args.e, k=1)
     dprimes = tuple(int(x) for x in args.dprimes.split(",")) if args.dprimes else None
@@ -317,21 +327,19 @@ def cmd_robust(args) -> int:
         "seed": args.seed,
     }
     held = True
-    if args.check_reduction and rep.mode == "exact":
-        checks = mt.reduction_check(f, cfg, tuple(sorted(rep.fraction_at_most)), args.budget)
+    if args.check_reduction:
+        checks = mt.reduction_check(f, cfg, rep, args.budget)
         report["reduction"] = {
             str(dp): {"lucky": float(lhs), "bound": float(rhs), "held": ok}
-            for dp, (lhs, rhs, ok) in checks.items()
+            for dp, (lhs, rhs, ok) in sorted(checks.items())
         }
         held = all(ok for _, _, ok in checks.values())
     report["relation_held"] = held
-    _emit(report, args)
-    if args.csv:
-        rows = [
-            [dp, report["fraction_below"][dp], report["fraction_at_most"][dp]]
-            for dp in report["fraction_below"]
-        ]
-        _write_rows(args.csv, ["dprime", "fraction_below", "fraction_at_most"], rows, True)
+    rows = [
+        [dp, report["fraction_below"][dp], report["fraction_at_most"][dp]]
+        for dp in report["fraction_below"]
+    ]
+    _emit(report, args, (["dprime", "fraction_below", "fraction_at_most"], rows))
     return EXIT_OK if held else EXIT_RELATION_FAILED
 
 
@@ -354,11 +362,7 @@ def cmd_akklr(args) -> int:
 
 def cmd_setmultilin(args) -> int:
     sizes = [int(x) for x in args.blocks.split(",")]
-    blocks, v = [], 0
-    for s in sizes:
-        blocks.append(tuple(range(v, v + s)))
-        v += s
-    part = sml.Partition(args.q, tuple(blocks))
+    part = sml.Partition.from_sizes(args.q, sizes)
     rng = np.random.Generator(np.random.Philox(key=mix64(args.seed)))
     systems = []
     held = True
@@ -469,8 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.add_argument("--dprimes", help="comma-separated candidate radii")
-    p.add_argument("--check-reduction", action="store_true")
+    p.add_argument(
+        "--dprimes", help="comma-separated candidate radii (negative first: --dprimes=-1,0)"
+    )
+    p.add_argument(
+        "--check-reduction", action="store_true", help="exact reduction check (needs --exact)"
+    )
     p.set_defaults(fn=cmd_robust)
 
     p = sub.add_parser("akklr", parents=[common, sampled], help="affine restriction test")

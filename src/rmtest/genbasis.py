@@ -50,9 +50,6 @@ class FieldOrdering:
         """The reverse ordering; pairs with natural() in the tightness proofs."""
         return cls(q, tuple(range(q - 1, -1, -1)))
 
-    def reverse(self) -> "FieldOrdering":
-        return FieldOrdering(self.q, tuple(reversed(self.xi)))
-
 
 @dataclass(frozen=True)
 class GeneralizedMonomial:
@@ -70,18 +67,12 @@ class GeneralizedMonomial:
         return sum(self.indices)
 
     def as_polynomial(self) -> Polynomial:
-        basis = basis_polys(self.ordering)
-        n = len(self.indices)
-        out = Polynomial.one(self.ordering.q, n)
-        for var, level in enumerate(self.indices):
-            if level:
-                terms = {}
-                for mon, c in basis[level].terms():
-                    exps = [0] * n
-                    exps[var] = mon.exponents[0]
-                    terms[tuple(exps)] = c
-                out = mul_reduced(out, Polynomial.from_terms(self.ordering.q, n, terms))
-        return out
+        """The product as a polynomial: the unit generalized coefficient
+        vector at these levels, changed back to the monomial basis."""
+        q, n = self.ordering.q, len(self.indices)
+        unit = np.zeros(q**n, dtype=np.int64)
+        unit[Monomial(q, self.indices).index()] = 1
+        return from_generalized(unit, q, n, self.ordering)
 
 
 def generalized_monomials(

@@ -55,8 +55,6 @@ class TestConfig:
     code: CodeParams
     e: int
     k: int = 1
-    trials: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if self.e < 0:
@@ -247,10 +245,6 @@ class PremiseCheck:
     delta_in_range: bool  # delta^{4(q-1)} <= q^{r - 8(q-1)}, checked exactly
     e_in_range: bool  # 4ke <= r
     vacuous: bool
-
-    @property
-    def holds(self) -> bool:
-        return not self.vacuous
 
 
 def soundness_premise(cfg: TestConfig, delta: int) -> PremiseCheck:
@@ -495,23 +489,25 @@ def robust_distance_experiment(
 
 
 def reduction_check(
-    f: Polynomial, cfg: TestConfig, dprimes: tuple[int, ...], budget: int | None = None
+    f: Polynomial, cfg: TestConfig, report: RobustReport, budget: int | None = None
 ) -> dict[int, tuple[Fraction, Fraction, bool]]:
-    """Both sides of the robustness reduction, exactly, at every radius.
+    """Both sides of the robustness reduction, exactly, at every radius of
+    report, the exact robustness experiment of f under cfg.
 
     Left: the probability that f*P lands within distance dprime of the
-    order-(d+e) code (the "lucky multiplier" event).  Right: q^dprime times
-    the two-multiplier acceptance probability at order d+2e.  One exact
-    experiment and one acceptance serve every radius.  Returns
+    order-(d+e) code (the "lucky multiplier" event, report.fraction_at_most).
+    Right: q^dprime times the two-multiplier acceptance probability at order
+    d+2e, computed once for every radius.  Returns
     {dprime: (left, right, left <= right)}.
     """
+    if report.mode != "exact":
+        raise ValueError("the reduction check needs the exact robustness report")
     pair_cfg = TestConfig(cfg.code, cfg.e, k=2)
     accept = exact_acceptance_probability(f, pair_cfg, budget)
-    lucky = robust_distance_experiment(f, cfg, dprimes, budget=budget).fraction_at_most
     checks = {}
-    for dp in dprimes:
+    for dp, lucky in report.fraction_at_most.items():
         rhs = Fraction(cfg.code.q) ** dp * accept
-        checks[dp] = (lucky[dp], rhs, lucky[dp] <= rhs)
+        checks[dp] = (lucky, rhs, lucky <= rhs)
     return checks
 
 

@@ -40,6 +40,15 @@ class Partition:
             raise ValueError("blocks must partition 0..N-1")
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
 
+    @classmethod
+    def from_sizes(cls, q: int, sizes: Iterable[int]) -> "Partition":
+        """Consecutive blocks of the given sizes: (0..s0-1), (s0..s0+s1-1), ..."""
+        blocks, start = [], 0
+        for size in sizes:
+            blocks.append(tuple(range(start, start + size)))
+            start += size
+        return cls(q, tuple(blocks))
+
     @property
     def n_vars(self) -> int:
         return sum(len(b) for b in self.blocks)

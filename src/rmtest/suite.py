@@ -341,11 +341,7 @@ def criterion_multilinear_domination(seed: int) -> dict:
             sizes.append(int(rng.integers(1, 4)))
         if sum(sizes) > 8:
             continue
-        blocks, v = [], 0
-        for s in sizes:
-            blocks.append(tuple(range(v, v + s)))
-            v += s
-        part = sml.Partition(q, tuple(blocks))
+        part = sml.Partition.from_sizes(q, sizes)
         system = sml.random_system(part, int(rng.integers(1, 4)), rng)
         # raises if the domination fails
         sml.system_vanishing_probability(system)
@@ -463,7 +459,8 @@ def criterion_robust_reduction() -> dict:
     violations = 0
     checked = 0
     for f in alg.all_polynomials(2, 3):
-        for _, _, holds in mt.reduction_check(f, cfg, (1, 2)).values():
+        report = mt.robust_distance_experiment(f, cfg, (1, 2))
+        for _, _, holds in mt.reduction_check(f, cfg, report).values():
             violations += not holds
             checked += 1
     return {

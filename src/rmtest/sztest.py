@@ -69,7 +69,7 @@ class SZBoundReport:
     estimate: EstimateResult | None  # sampled mode
     bound: Fraction  # from LM(f)
     extremal_bound: Fraction  # from the extremal monomial at deg(f)
-    rank: int  # independent equations found (triangular submatrix rows)
+    rank: int  # triangular rows of the drop system, independent: bound = q^-rank
     vacuous: bool
     drop_count: int | None = None
     total: int | None = None
@@ -96,11 +96,10 @@ def degree_drop_probability(
     query = SZQuery(f, e, s)
     d = query.d
     q, n = f.q, f.n
-    lm = f.leading_monomial()
-    bound = Fraction(1, q ** combin.dominating_range_count(lm, s, e))
+    rank = combin.dominating_range_count(f.leading_monomial(), s, e)
+    bound = Fraction(1, q**rank)
     m0 = combin.extremal_monomial(q, n, d)
     extremal = Fraction(1, q ** combin.dominating_range_count(m0, s, e))
-    rank = independent_equation_rank(f, e, s)
     if query.vacuous:
         # every product has degree at most n(q-1) < d+s
         prob = Fraction(1)
@@ -176,9 +175,8 @@ def verify_tightness(
     extremal-monomial bound."""
     witness = tight_witness(q, n, d, ordering)
     report = degree_drop_probability(witness, e, s, budget=budget)
-    m0 = combin.extremal_monomial(q, n, d)
-    target = Fraction(1, q ** combin.dominating_range_count(m0, s, e))
     prob = report.probability
+    target = report.extremal_bound
     return TightnessReport(q, n, d, e, s, prob, target, prob == target, witness)
 
 

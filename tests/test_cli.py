@@ -166,6 +166,16 @@ class TestSZCommand:
         assert rep["params"]["d"] == 3
         assert rep["probability"] <= rep["bound"]
 
+    def test_poly_params_must_match_q_and_n(self, capsys):
+        # corr_3_3.poly is over (q, n) = (3, 3); the report must not claim (2, 6)
+        code = run_cli(
+            "sz", "--q", "2", "--n", "6", "--d", "1", "--e", "1", "--s", "1", "--exact",
+            "--poly", str(DATA / "corr_3_3.poly"), "--quiet",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "q=3 n=3" in err and "--q 2 --n 6" in err
+
 
 class TestTestEKCommand:
     def test_hard_instance_floor(self, hard_poly, tmp_path):
@@ -255,6 +265,30 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["relation_held"] is True
         assert set(rep["reduction"]) == {"1", "2"}
+
+    def test_check_reduction_needs_exact(self, cube_poly, capsys):
+        code = run_cli("robust", "--poly", cube_poly, "--d", "0", "--e", "1",
+                       "--trials", "50", "--check-reduction", "--quiet")
+        assert code == 2
+        assert "--check-reduction needs --exact" in capsys.readouterr().err
+
+    def test_check_reduction_runs_one_experiment(self, cube_poly, tmp_path, monkeypatch):
+        calls = []
+        experiment = mt.robust_distance_experiment
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return experiment(*args, **kwargs)
+
+        monkeypatch.setattr(mt, "robust_distance_experiment", counted)
+        out = tmp_path / "r.csv"
+        assert run_cli("robust", "--poly", cube_poly, "--d", "0", "--e", "1",
+                       "--exact", "--dprimes", "0,1", "--check-reduction",
+                       "--quiet", "--csv", str(out)) == 0
+        assert len(calls) == 1
+        assert out.read_text().splitlines() == [
+            "dprime,fraction_below,fraction_at_most", "0,0.0,0.5", "1,0.5,1.0",
+        ]
 
     def test_akklr(self, cube_poly, tmp_path):
         out = tmp_path / "a.json"

@@ -122,16 +122,32 @@ class TestGeneralizedMonomialBasis:
             assert alg.rank_mod(rows, q) == len(members)
 
     def test_matches_coefficient_transform(self):
-        # expanding f over the product basis and re-summing reproduces f
+        # expanding f over the product basis and changing back reproduces f
         ordering = gb.FieldOrdering.natural(3)
         rng = np.random.default_rng(53)
         for _ in range(20):
             f = alg.random_polynomial(3, 2, 4, rng)
-            acc = Polynomial.zero(3, 2)
-            for idx, c in gb.generalized_terms(f, ordering):
-                gm = gb.GeneralizedMonomial(idx, ordering)
-                acc = acc + gm.as_polynomial().scale(c)
-            assert acc == f
+            assert gb.from_generalized(gb.to_generalized(f, ordering), 3, 2, ordering) == f
+
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (5, 1), (7, 1)])
+    def test_matches_product_of_lifted_basis_polys(self, q, n):
+        # the ring route: one univariate basis polynomial per variable,
+        # lifted to that variable and multiplied in the quotient ring
+        orderings = [gb.FieldOrdering.natural(q), gb.FieldOrdering.reversed_natural(q)]
+        if q > 2:  # F_2 has no third ordering
+            orderings.append(gb.FieldOrdering(q, tuple(range(1, q)) + (0,)))
+        for ordering in orderings:
+            basis = gb.basis_polys(ordering)
+            for levels in itertools.product(range(q), repeat=n):
+                product = Polynomial.one(q, n)
+                for var, level in enumerate(levels):
+                    lifted = {}
+                    for mon, c in basis[level].terms():
+                        exps = [0] * n
+                        exps[var] = mon.exponents[0]
+                        lifted[tuple(exps)] = c
+                    product = mul_reduced(product, Polynomial.from_terms(q, n, lifted))
+                assert gb.GeneralizedMonomial(levels, ordering).as_polynomial() == product
 
 
 class TestStructureConstants:

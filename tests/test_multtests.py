@@ -455,8 +455,16 @@ class TestRobustExperiment:
     def test_reduction_inequality_exhaustive(self):
         cfg = mt.TestConfig(CodeParams(2, 3, 0), e=1, k=1)
         for f in alg.all_polynomials(2, 3):
-            for dp, (lhs, rhs, held) in mt.reduction_check(f, cfg, (1, 2)).items():
+            report = mt.robust_distance_experiment(f, cfg, (1, 2))
+            for dp, (lhs, rhs, held) in mt.reduction_check(f, cfg, report).items():
                 assert held, (alg.poly_to_text(f), dp, lhs, rhs)
+
+    def test_reduction_check_needs_exact_report(self):
+        f = Polynomial.from_terms(2, 3, {(1, 1, 1): 1})
+        cfg = mt.TestConfig(CodeParams(2, 3, 0), e=1, k=1)
+        sampled = mt.robust_distance_experiment(f, cfg, (1, 2), trials=50, seed=1)
+        with pytest.raises(ValueError):
+            mt.reduction_check(f, cfg, sampled)
 
     def test_requires_single_multiplier(self):
         cfg = mt.TestConfig(CodeParams(2, 3, 0), e=1, k=2)

@@ -66,11 +66,7 @@ class TestVanishingProbability:
             sizes = [int(rng.integers(1, 4)) for _ in range(k)]
             if sum(sizes) > 8:
                 continue
-            blocks, v = [], 0
-            for s in sizes:
-                blocks.append(tuple(range(v, v + s)))
-                v += s
-            part = sml.Partition(q, tuple(blocks))
+            part = sml.Partition.from_sizes(q, sizes)
             system = sml.random_system(part, int(rng.integers(1, 4)), rng)
             # raises if p_full > p_sm
             p_full, p_sm = sml.system_vanishing_probability(system)
@@ -82,6 +78,9 @@ class TestVanishingProbability:
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             sml.Partition(2, ((0,), (0, 1)))
+
+    def test_partition_from_sizes(self):
+        assert sml.Partition.from_sizes(3, [2, 1, 3]).blocks == ((0, 1), (2,), (3, 4, 5))
 
     def test_system_validation(self):
         part = sml.Partition(2, ((0, 1),))

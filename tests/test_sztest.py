@@ -146,15 +146,23 @@ class TestEquationSystem:
         rank = sztest.independent_equation_rank(f, 1, 0)
         assert rank == len(combin.disjoint_range(Monomial(2, (0, 0)), 0, 1)) == 3
 
-    def test_rank_meets_floor_everywhere_small(self):
-        for f in alg.all_polynomials(2, 2):
+    def test_rank_equals_triangular_count(self):
+        # the drop report's rank is the triangular count; the system built
+        # here, one monomial product at a time, must have exactly that rank
+        fs = [f for q, n in ((2, 2), (3, 1)) for f in alg.all_polynomials(q, n)]
+        for q, n in ((2, 4), (3, 2), (5, 2)):
+            rng = np.random.default_rng(q * 10 + n)
+            for deg in rng.integers(n * (q - 1) + 1, size=4):
+                fs.append(alg.random_polynomial(q, n, int(deg), rng))
+        for f in fs:
             if f.is_zero():
                 continue
             lm = f.leading_monomial()
-            for e in (0, 1):
+            for e in range(f.n * (f.q - 1) + 1):
                 for s in range(0, e + 1):
                     rank = sztest.independent_equation_rank(f, e, s)
-                    assert rank >= combin.dominating_range_count(lm, s, e)
+                    report = sztest.degree_drop_probability(f, e, s)
+                    assert rank == report.rank == combin.dominating_range_count(lm, s, e)
 
     def test_probability_equals_full_system_rank(self):
         # the drop event is exactly the full homogeneous system, built one
