@@ -1,11 +1,12 @@
 """Command-line surface: experiment runner and report emitter.
 
-Every subcommand prints a JSON report to stdout (suppress with --quiet)
-and can also write it to --json PATH and a flat CSV to --csv PATH.  All
-randomness is seeded from --seed; exact enumerations respect --budget /
-RMTEST_BUDGET.  Exit codes: 0 when the subcommand's expected relation held
-(or none applies), 1 when it failed, 2 for usage errors, 3 when an exact
-run would exceed the enumeration budget.
+Most subcommands print a JSON report to stdout (suppress with --quiet)
+and can also write it to --json PATH and a flat CSV to --csv PATH; combin
+prints a CSV table and takes only --csv, and basis-dump and suite take only
+--json.  All randomness is seeded from --seed; exact enumerations respect
+--budget / RMTEST_BUDGET.  Exit codes: 0 when the subcommand's expected
+relation held (or none applies), 1 when it failed, 2 for usage errors and
+invalid input, 3 when an exact run would exceed the enumeration budget.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ def cmd_sz(args) -> int:
             return _usage_error(
                 f"--poly {args.poly} has q={f.q} n={f.n}, not --q {args.q} --n {args.n}"
             )
+        if f.degree != args.d:
+            return _usage_error(f"--poly {args.poly} has degree {f.degree}, not --d {args.d}")
+        if args.ordering is not None:
+            return _usage_error("--ordering applies only to the tight witness, not --poly")
         witness = False
     else:
         f = sztest.tight_witness(args.q, args.n, args.d, _ordering(args, args.q))
@@ -409,9 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
     common.add_argument("--budget", type=int, default=None, help="enumeration cap")
-    common.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    common.add_argument("--csv", metavar="PATH", help="write a CSV report here")
     common.add_argument("--quiet", action="store_true", help="suppress stdout")
+
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", metavar="PATH", help="write the JSON report here")
+
+    csv_out = argparse.ArgumentParser(add_help=False)
+    csv_out.add_argument("--csv", metavar="PATH", help="write a CSV report here")
+    report = [common, json_out, csv_out]
 
     sampled = argparse.ArgumentParser(add_help=False)
     sampled.add_argument("--exact", action="store_true", help="exhaustive enumeration")
@@ -426,33 +436,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sz", parents=[common, sampled], help="degree-drop probability")
+    p = sub.add_parser("sz", parents=[*report, sampled], help="degree-drop probability")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--poly", help="polynomial file (default: the tight witness)")
-    p.add_argument("--ordering", choices=["natural", "reverse"], default="natural")
+    p.add_argument("--ordering", choices=["natural", "reverse"], help="witness ordering")
     p.set_defaults(fn=cmd_sz)
 
-    p = sub.add_parser("combin", parents=[common], help="counting tables as CSV")
+    p = sub.add_parser("combin", parents=[common, csv_out], help="counting tables as CSV")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", help="comma-separated exponents of a specific monomial")
     p.set_defaults(fn=cmd_combin)
 
-    p = sub.add_parser("basis-dump", parents=[common], help="generalized coefficients")
+    p = sub.add_parser("basis-dump", parents=[common, json_out], help="generalized coefficients")
     p.add_argument("--poly", required=True)
     p.add_argument("--ordering", choices=["natural", "reverse"], default="natural")
     p.set_defaults(fn=cmd_basis_dump)
 
-    p = sub.add_parser("distance", parents=[common], help="exact distance to the code")
+    p = sub.add_parser("distance", parents=report, help="exact distance to the code")
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(fn=cmd_distance)
 
-    p = sub.add_parser("test-ek", parents=[common, sampled, expect], help="multiplier test")
+    p = sub.add_parser("test-ek", parents=[*report, sampled, expect], help="multiplier test")
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
@@ -461,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_test_ek)
 
     p = sub.add_parser(
-        "corr-h", parents=[common, sampled, expect], help="shaped multiplier test"
+        "corr-h", parents=[*report, sampled, expect], help="shaped multiplier test"
     )
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
@@ -469,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="comma-separated c0,..,ck")
     p.set_defaults(fn=cmd_corr_h)
 
-    p = sub.add_parser("robust", parents=[common, sampled], help="distance distribution")
+    p = sub.add_parser("robust", parents=[*report, sampled], help="distance distribution")
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
@@ -481,19 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_robust)
 
-    p = sub.add_parser("akklr", parents=[common, sampled], help="affine restriction test")
+    p = sub.add_parser("akklr", parents=[*report, sampled], help="affine restriction test")
     p.add_argument("--poly", required=True)
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(fn=cmd_akklr)
 
-    p = sub.add_parser("setmultilin", parents=[common], help="random partitioned systems")
+    p = sub.add_parser("setmultilin", parents=report, help="random partitioned systems")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--blocks", required=True, help="comma-separated block sizes")
     p.add_argument("--m", type=int, default=2, help="polynomials per system")
     p.add_argument("--count", type=int, default=1, help="number of systems")
     p.set_defaults(fn=cmd_setmultilin)
 
-    p = sub.add_parser("suite", parents=[common], help="run the acceptance battery")
+    p = sub.add_parser("suite", parents=[common, json_out], help="run the acceptance battery")
     p.set_defaults(fn=cmd_suite)
 
     return parser
@@ -506,6 +516,8 @@ def main(argv=None) -> int:
     except InfeasibleInstanceError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
+    except ValueError as exc:  # the base of every input error
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import (
     Monomial,
     Polynomial,
+    batch_evaluate,
     ensure_prime,
     inverse_mod_matrix,
     mul_reduced,
@@ -250,26 +251,13 @@ def ut_decompose(
     q_comp = components_along(p, var, ordering)
 
     # h_{j,k} = sum_i gamma[k, i, j] * f_i  (k > j)
-    h = {}
-    for k in range(q):
-        for j in range(k):
-            acc = Polynomial.zero(q, f.n - 1)
-            for i in range(q):
-                g = int(sc[k, i, j])
-                if g:
-                    acc = acc + f_comp[i].scale(g)
-            h[(j, k)] = acc
+    comps = np.stack([c.coeffs for c in f_comp])
+    h_all = np.einsum("kij,ix->jkx", sc, comps) % q
+    h = {(j, k): Polynomial(q, f.n - 1, h_all[j, k]) for k in range(q) for j in range(k)}
 
-    # f|_{X_var = xi_k} = sum_i b_i(xi_k) * f_i
-    polys = basis_polys(ordering)
-    restrictions = []
-    for k in range(q):
-        acc = Polynomial.zero(q, f.n - 1)
-        for i in range(q):
-            val = polys[i].evaluate([ordering.xi[k]])
-            if val:
-                acc = acc + f_comp[i].scale(val)
-        restrictions.append(acc)
+    # f|_{X_var = xi_k} = sum_i b_i(xi_k) * f_i, with nodes[i, k] = b_i(xi_k)
+    nodes = batch_evaluate(q, 1, basis_matrix(ordering).T)[:, list(ordering.xi)]
+    restrictions = [Polynomial(q, f.n - 1, row) for row in nodes.T @ comps % q]
 
     r_comp = []
     for k in range(q):
@@ -321,18 +309,18 @@ def product_components(
 
     beta = _beta_tensor(ordering, k)
 
-    # verify: Q_j == sum over tuples <= j of beta * prod of factor components
+    # verify: Q_j == sum over tuples <= j of beta * prod of factor components,
+    # on value tables (evaluation is a bijection of the ring)
+    tables = [
+        batch_evaluate(q, n - 1, np.stack([c.coeffs for c in comps]))
+        for comps in factor_comp
+    ]
+    prod_tables = batch_evaluate(q, n - 1, np.stack([c.coeffs for c in prod_comp]))
     for j in range(q):
-        acc = Polynomial.zero(q, n - 1)
-        for tup in itertools.product(range(j + 1), repeat=k):
-            coeff = int(beta[(j,) + tup])
-            if not coeff:
-                continue
-            term = Polynomial.constant(q, n - 1, coeff)
-            for i, ji in enumerate(tup):
-                term = mul_reduced(term, factor_comp[i][ji])
-            acc = acc + term
-        if acc != prod_comp[j]:
+        acc = beta[(j,) + (slice(j + 1),) * k][..., None]
+        for table in reversed(tables):
+            acc = (acc * table[: j + 1]).sum(axis=-2) % q
+        if not np.array_equal(acc, prod_tables[j]):
             raise AssertionError(
                 f"triangular expansion mismatch at level {j} (k={k}, q={q})"
             )

@@ -15,9 +15,10 @@ for the quotient ring.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,16 +99,6 @@ class MultilinearPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate_rows(self, assignments: np.ndarray) -> np.ndarray:
-        """Values on a matrix of assignments (rows are points)."""
-        out = np.zeros(len(assignments), dtype=np.int64)
-        for mon, c in self.terms.items():
-            term = np.full(len(assignments), c, dtype=np.int64)
-            for v in mon:
-                term = term * assignments[:, v] % self.q
-            out = (out + term) % self.q
-        return out
-
     def __repr__(self):
         parts = [
             "*".join([str(c)] + [f"z{v+1}" for v in sorted(mon)])
@@ -154,21 +145,40 @@ def homogenization_chain(
     return chain
 
 
-def _assignment_rows(q: int, n_vars: int, budget: int | None) -> np.ndarray:
-    check_budget(q**n_vars, budget, "assignment enumeration")
-    return next(coefficient_blocks(q, n_vars, q**n_vars))
+def _vanishing_probabilities(
+    systems: list[Sequence[MultilinearPoly]], part: Partition, budget: int | None
+) -> list[Fraction]:
+    """Probability over uniform assignments that each system vanishes.
+
+    The assignments are enumerated once, block by block, and each distinct
+    monomial's values are computed once per block.  A polynomial's terms
+    (at most 2^N, each below q^2) are summed unreduced; products and sums
+    stay below q^(N+2), so int64 holds them exactly while the enumeration's
+    length q^N is below 2^63 / q^2.
+    """
+    q, total = part.q, part.q**part.n_vars
+    check_budget(total, budget, "assignment enumeration")
+    counts = [0] * len(systems)
+    for rows in coefficient_blocks(q, part.n_vars):
+        columns = {}
+        for i, polys in enumerate(systems):
+            good = np.ones(len(rows), dtype=bool)
+            for p in polys:
+                acc = np.zeros(len(rows), dtype=np.int64)
+                for mon, c in p.terms.items():
+                    if mon not in columns:
+                        columns[mon] = np.prod(rows[:, sorted(mon)], axis=1) % q
+                    acc += c * columns[mon]
+                good &= acc % q == 0
+            counts[i] += int(good.sum())
+    return [Fraction(count, total) for count in counts]
 
 
 def vanishing_probability(
     polys: Iterable[MultilinearPoly], part: Partition, budget: int | None = None
 ) -> Fraction:
     """Probability over uniform assignments that every polynomial vanishes."""
-    polys = list(polys)
-    rows = _assignment_rows(part.q, part.n_vars, budget)
-    good = np.ones(len(rows), dtype=bool)
-    for p in polys:
-        good &= p.evaluate_rows(rows) == 0
-    return Fraction(int(good.sum()), len(rows))
+    return _vanishing_probabilities([list(polys)], part, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -192,9 +202,8 @@ def system_vanishing_probability(
     The domination p_full <= p_sm is asserted; it holds for every system.
     """
     part = sys.partition
-    p_full = vanishing_probability(sys.polys, part, budget)
     parts = [set_multilinear_part(p, part) for p in sys.polys]
-    p_sm = vanishing_probability(parts, part, budget)
+    p_full, p_sm = _vanishing_probabilities([sys.polys, parts], part, budget)
     if p_full > p_sm:
         raise AssertionError(
             f"domination violated: {p_full} > {p_sm} for {sys.polys}"
@@ -207,7 +216,7 @@ def chain_probabilities(
 ) -> list[Fraction]:
     """Vanishing probability of each intermediate homogenized system."""
     chain = homogenization_chain(sys.polys, sys.partition)
-    return [vanishing_probability(step, sys.partition, budget) for step in chain]
+    return _vanishing_probabilities(chain, sys.partition, budget)
 
 
 def random_system(
@@ -217,16 +226,10 @@ def random_system(
     admissible monomial, including zero)."""
     q = part.q
     choices = [tuple(b) + (None,) for b in part.blocks]
-    monomials = []
-
-    def rec(i, acc):
-        if i == len(choices):
-            monomials.append(frozenset(v for v in acc if v is not None))
-            return
-        for pick in choices[i]:
-            rec(i + 1, acc + [pick])
-
-    rec(0, [])
+    monomials = [
+        frozenset(v for v in picks if v is not None)
+        for picks in itertools.product(*choices)
+    ]
     polys = []
     for _ in range(m):
         terms = {mon: int(rng.integers(0, q)) for mon in monomials}

@@ -176,6 +176,24 @@ class TestSZCommand:
         err = capsys.readouterr().err
         assert "q=3 n=3" in err and "--q 2 --n 6" in err
 
+    def test_poly_degree_must_match_d(self, capsys):
+        # sz_2_6.poly has degree 3; the report must not run with --d 5 ignored
+        code = run_cli(
+            "sz", "--q", "2", "--n", "6", "--d", "5", "--e", "1", "--s", "1", "--exact",
+            "--poly", str(DATA / "sz_2_6.poly"), "--quiet",
+        )
+        assert code == 2
+        assert "has degree 3, not --d 5" in capsys.readouterr().err
+
+    def test_poly_refuses_ordering(self, capsys):
+        # the ordering only shapes the tight witness, which --poly replaces
+        code = run_cli(
+            "sz", "--q", "2", "--n", "6", "--d", "3", "--e", "1", "--s", "1", "--exact",
+            "--poly", str(DATA / "sz_2_6.poly"), "--ordering", "reverse", "--quiet",
+        )
+        assert code == 2
+        assert "--ordering" in capsys.readouterr().err
+
 
 class TestTestEKCommand:
     def test_hard_instance_floor(self, hard_poly, tmp_path):
@@ -320,6 +338,45 @@ class TestOtherCommands:
         assert run_cli("basis-dump", "--poly", str(path)) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == ["(1) -> 1", "(2) -> 1"]
+
+
+INVALID_INPUTS = {
+    "zero_poly": ["sz", "--poly", "ZERO", "--q", "2", "--n", "6", "--d", "3", "--e", "1",
+                  "--s", "1", "--exact"],
+    "distance_order": ["distance", "--poly", str(DATA / "sz_2_6.poly"), "--d", "99"],
+    "negative_e": ["test-ek", "--poly", str(DATA / "ek_2_6.poly"), "--d", "2", "--e", "-1"],
+    "composite_q": ["setmultilin", "--q", "4", "--blocks", "1,1"],
+    "zero_trials": ["test-ek", "--poly", str(DATA / "ek_2_6.poly"), "--d", "2", "--e", "1",
+                    "--trials", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_INPUTS))
+def test_invalid_input_is_a_usage_error(name, tmp_path, capsys):
+    zero = tmp_path / "zero.poly"
+    zero.write_text("q=2 n=6: 0")
+    argv = [str(zero) if a == "ZERO" else a for a in INVALID_INPUTS[name]]
+    assert run_cli(*argv, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rmtest: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["combin", "--q", "2", "--n", "2", "--json"],
+        ["basis-dump", "--poly", str(DATA / "corr_3_3.poly"), "--csv"],
+        ["suite", "--csv"],
+    ],
+    ids=["combin-json", "basis-dump-csv", "suite-csv"],
+)
+def test_output_flag_that_writes_nothing_is_refused(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConsoleEntry:

@@ -237,6 +237,33 @@ class TestUTDecomposition:
             dec = gb.ut_decompose(f, p, var, ordering)
             assert gb.reassemble(dec) == mul_reduced(f, p)
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_h_and_products_by_their_definitions(self, q, n, reverse):
+        ordering = (gb.FieldOrdering.reversed_natural if reverse else gb.FieldOrdering.natural)(q)
+        gamma = gb.structure_constants(ordering).gamma
+        rng = np.random.default_rng(100 * q + 10 * n + reverse)
+        f = alg.random_polynomial(q, n, n * (q - 1), rng)
+        p = alg.random_polynomial(q, n, n * (q - 1), rng)
+        for var in range(n):
+            dec = gb.ut_decompose(f, p, var, ordering)
+            zero = Polynomial.zero(q, n - 1)
+            for (j, k), h in dec.h.items():
+                assert h == sum(
+                    (c.scale(int(gamma[k, i, j])) for i, c in enumerate(dec.f_components)),
+                    zero,
+                )
+            e_var = [int(i == var) for i in range(n)]
+            for k in range(q):
+                restricted = alg.restrict(f, e_var, ordering.xi[k])
+                expected = mul_reduced(dec.multiplier_components[k], restricted)
+                for j in range(k):
+                    expected = expected + mul_reduced(
+                        dec.multiplier_components[j], dec.h[(j, k)]
+                    )
+                assert dec.products[k] == expected
+
     def test_component_assembly_inverse(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -259,6 +286,27 @@ class TestProductComponents:
         )
         for r in range(3):
             assert pc.beta[r, r, r] == gamma[r, r, r] != 0
+
+    @pytest.mark.parametrize("entry,raises", [((1, 0, 1), True), ((1, 0, 2), False)])
+    def test_expansion_check_reads_tuples_up_to_each_level(self, monkeypatch, entry, raises):
+        # an entry with every index <= its level enters that level's check;
+        # one with a larger index is outside the triangular expansion
+        real = gb._beta_tensor
+
+        def changed(ordering, k):
+            beta = real(ordering, k).copy()
+            beta[entry] = (beta[entry] + 1) % ordering.q
+            return beta
+
+        monkeypatch.setattr(gb, "_beta_tensor", changed)
+        # 1 has only a level-0 component along X1, and X1^2 = b_2 + b_1 has
+        # levels 1 and 2, so both changed entries multiply nonzero products
+        ps = [Polynomial.one(3, 2), Polynomial.from_terms(3, 2, {(2, 0): 1})]
+        if raises:
+            with pytest.raises(AssertionError, match="triangular expansion mismatch"):
+                gb.product_components(ps, 0, NATURAL3)
+        else:
+            gb.product_components(ps, 0, NATURAL3)
 
     @pytest.mark.parametrize("q,k,runs", [(2, 2, 1000), (3, 2, 100), (5, 2, 40), (3, 3, 40)])
     def test_expansion_verified_random(self, q, k, runs):

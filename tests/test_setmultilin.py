@@ -1,5 +1,7 @@
 """Block-multilinear systems and the vanishing-probability domination."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -86,3 +88,56 @@ class TestVanishingProbability:
         part = sml.Partition(2, ((0, 1),))
         with pytest.raises(StructureError):
             sml.PartitionedSystem(part, (poly(2, 2, {(0, 1): 1}),))
+
+
+def brute_force_vanishing(polys, part):
+    """Vanishing probability with Python ints at every assignment."""
+    hits = total = 0
+    for point in itertools.product(range(part.q), repeat=part.n_vars):
+        total += 1
+        hits += all(
+            sum(c * math.prod(point[v] for v in mon) for mon, c in p.terms.items()) % part.q
+            == 0
+            for p in polys
+        )
+    return Fraction(hits, total)
+
+
+class TestAgainstBruteForce:
+    def test_all_three_probabilities(self):
+        rng = np.random.default_rng(2024)
+        done = 0
+        while done < 40:
+            q = int(rng.choice([2, 3, 5, 7]))
+            sizes = [int(rng.integers(1, 3)) for _ in range(int(rng.integers(1, 4)))]
+            if sum(sizes) > 5 or q ** sum(sizes) > 3000:
+                continue
+            part = sml.Partition.from_sizes(q, sizes)
+            system = sml.random_system(part, int(rng.integers(1, 4)), rng)
+            parts = [sml.set_multilinear_part(p, part) for p in system.polys]
+            chain = sml.homogenization_chain(system.polys, part)
+            p_full = brute_force_vanishing(system.polys, part)
+            assert sml.vanishing_probability(system.polys, part) == p_full
+            assert sml.system_vanishing_probability(system) == (
+                p_full, brute_force_vanishing(parts, part)
+            )
+            assert sml.chain_probabilities(system) == [
+                brute_force_vanishing(step, part) for step in chain
+            ]
+            done += 1
+
+    def test_each_call_enumerates_once(self, monkeypatch):
+        calls = []
+        real = sml.coefficient_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sml, "coefficient_blocks", counted)
+        part = sml.Partition.from_sizes(2, [1, 2, 1])
+        system = sml.random_system(part, 2, np.random.default_rng(8))
+        sml.chain_probabilities(system)
+        assert len(calls) == 1
+        sml.system_vanishing_probability(system)
+        assert len(calls) == 2
