@@ -4,10 +4,8 @@ oracles and seeded Monte Carlo estimators."""
 
 from .algebra import (
     EvalTable,
-    FieldElement,
     Monomial,
     Polynomial,
-    evaluate_all,
     interpolate,
     mul_reduced,
     poly_from_text,
@@ -33,7 +31,6 @@ __all__ = [
     "DegenerateFormError",
     "EstimateResult",
     "EvalTable",
-    "FieldElement",
     "FieldOrdering",
     "InfeasibleInstanceError",
     "Monomial",
@@ -45,7 +42,6 @@ __all__ = [
     "degree_drop_probability",
     "distance",
     "estimate",
-    "evaluate_all",
     "get_budget",
     "interpolate",
     "is_member",

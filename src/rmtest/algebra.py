@@ -68,51 +68,6 @@ def _check_size(q: int, n: int) -> None:
         raise ValueError(f"q**n = {q**n} exceeds the dense table cap {DENSE_CAP}")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_q with the modulus carried alongside the value."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        ensure_prime(self.q)
-        object.__setattr__(self, "value", self.value % self.q)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.q != self.q:
-                raise ParamsMismatchError(f"moduli differ: {self.q} vs {other.q}")
-            return other
-        return FieldElement(int(other), self.q)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement((self.value + other.value) % self.q, self.q)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement((self.value - other.value) % self.q, self.q)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement((self.value * other.value) % self.q, self.q)
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.q, self.q)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldElement(pow(self.value, self.q - 2, self.q), self.q)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.q})"
-
-
 # ---------------------------------------------------------------------------
 # Monomials
 # ---------------------------------------------------------------------------
@@ -172,10 +127,6 @@ class Monomial:
             exps[j] = idx % q
             idx //= q
         return cls(q, tuple(exps))
-
-    @classmethod
-    def one(cls, q: int, n: int) -> "Monomial":
-        return cls(q, (0,) * n)
 
     def is_disjoint(self, other: "Monomial") -> bool:
         """True iff the reduced and unreduced products agree."""
@@ -675,10 +626,6 @@ class EvalTable:
 
     def __hash__(self) -> int:
         return hash((self.q, self.n, self.values.tobytes()))
-
-
-def evaluate_all(f: Polynomial) -> EvalTable:
-    return f.evaluate_all()
 
 
 def interpolate(t: EvalTable) -> Polynomial:

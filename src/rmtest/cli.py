@@ -193,21 +193,14 @@ def cmd_combin(args) -> int:
 
 def cmd_basis_dump(args) -> int:
     f = _load_poly(args.poly)
-    ordering = _ordering(args, f.q)
-    lines = [
-        f"({','.join(str(i) for i in idx)}) -> {c}"
-        for idx, c in genbasis.generalized_terms(f, ordering)
-    ]
+    terms = genbasis.generalized_terms(f, _ordering(args, f.q))
+    lines = [f"({','.join(str(i) for i in idx)}) -> {c}" for idx, c in terms]
     out = "\n".join(lines) + ("\n" if lines else "")
     if not args.quiet:
         sys.stdout.write(out)
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(
-                {"command": "basis-dump", "terms": genbasis.generalized_terms(f, ordering)},
-                fh,
-                indent=2,
-            )
+            json.dump({"command": "basis-dump", "terms": terms}, fh, indent=2)
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import combin, rmcode
 from .algebra import (
     Polynomial,
+    batch_evaluate,
     batch_interpolate,
     coefficient_blocks,
     degree_table,
@@ -401,8 +402,8 @@ class RobustReport:
     seed: int | None = None
 
 
-def _class_products(ftab: np.ndarray, multipliers: CodeParams):
-    """Yield (tables of f*P, weights) a block of multipliers P at a time, one
+def _class_multipliers(multipliers: CodeParams):
+    """Yield (tables of P, weights) a block of multipliers P at a time, one
     P per scalar class: dist(a*f*P, C) = dist(f*P, C) for a != 0, so P = 0
     (weight 1) and the P whose leading nonzero coefficient is 1 (weight
     q - 1) stand for all q^M multipliers."""
@@ -410,21 +411,19 @@ def _class_products(ftab: np.ndarray, multipliers: CodeParams):
     for block, tables in codeword_tables(multipliers):
         lead = block[np.arange(len(block)), (block != 0).argmax(axis=1)]
         keep = lead <= 1
-        yield tables[keep] * ftab % q, np.where(lead[keep] == 1, q - 1, 1)
+        yield tables[keep], np.where(lead[keep] == 1, q - 1, 1)
 
 
-def _sampled_products(f: Polynomial, e: int, trials: int, seed: int):
-    """Yield (tables of f*P, weight 1) for the seeded multipliers of trials
+def _sampled_multipliers(q: int, n: int, e: int, trials: int, seed: int):
+    """Yield (tables of P, weight 1) for the seeded multipliers of trials
     0..trials-1, at most _PRODUCT_BLOCK_CELLS // q^n trials a block."""
-    q, n = f.q, f.n
     streams = _trial_streams(seed, trials)
     step = max(1, rmcode._PRODUCT_BLOCK_CELLS // q**n)
     for _ in range(0, trials, step):
-        rows = [
-            mul_reduced(f, random_polynomial(q, n, e, rng)).evaluate_all().values
-            for rng in itertools.islice(streams, step)
-        ]
-        yield np.stack(rows), 1
+        coeffs = np.stack(
+            [random_polynomial(q, n, e, rng).coeffs for rng in itertools.islice(streams, step)]
+        )
+        yield batch_evaluate(q, n, coeffs), 1
 
 
 def robust_distance_experiment(
@@ -439,11 +438,12 @@ def robust_distance_experiment(
 
     Exact mode (trials=None) enumerates the multipliers P, one per scalar
     class with its multiplicity, so samples is q^M; sampled mode draws them
-    from seeded streams.  Both feed blocks of product tables through
-    rmcode.coset_distances into one histogram of the q^n + 1 distances, so
-    memory is bounded by _PRODUCT_BLOCK_CELLS, not by the samples, and every
-    field is read from it: the full distance distribution and the fraction
-    below / at-or-below each candidate radius, which is the quantity the
+    from seeded streams.  Both yield blocks of multiplier tables, and the
+    products with f's table go through rmcode.coset_distances into one
+    histogram of the q^n + 1 distances, so memory is bounded by
+    _PRODUCT_BLOCK_CELLS, not by the samples, and every field is read from
+    it: the full distance distribution and the fraction below /
+    at-or-below each candidate radius, which is the quantity the
     robustness statements bound.
     """
     if cfg.k != 1:
@@ -455,17 +455,17 @@ def robust_distance_experiment(
     if trials is None:
         samples = q ** combin.monomial_count(q, n, cfg.e)
         check_budget(samples * target.size, budget, "multiplier x coset enumeration")
-        multipliers = CodeParams(q, n, min(cfg.e, n * (q - 1)))
-        blocks = _class_products(f.evaluate_all().values, multipliers)
+        blocks = _class_multipliers(CodeParams(q, n, min(cfg.e, n * (q - 1))))
         mode, seed_out = "exact", None
     else:
         if trials < 1:
             raise ValueError("need at least one trial")
-        blocks = _sampled_products(f, cfg.e, trials, seed)
+        blocks = _sampled_multipliers(q, n, cfg.e, trials, seed)
         samples, mode, seed_out = trials, "sampled", seed
+    ftab = f.evaluate_all().values
     hist = np.zeros(K + 1, dtype=np.int64)
     for tables, weights in blocks:
-        np.add.at(hist, coset_distances(target, tables)[0], weights)
+        np.add.at(hist, coset_distances(target, tables * ftab % q)[0], weights)
     present = np.flatnonzero(hist)
     cum = np.cumsum(hist)  # cum[v] = samples at distance <= v
 

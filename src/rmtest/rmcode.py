@@ -20,7 +20,6 @@ import numpy as np
 
 from . import combin
 from .algebra import (
-    FieldElement,
     Polynomial,
     batch_degrees,
     batch_evaluate,
@@ -357,11 +356,10 @@ def _assert_duality(code: CodeParams, dual: CodeParams) -> None:
         raise AssertionError("claimed dual is not orthogonal")
 
 
-def inner_product(f: Polynomial, g: Polynomial) -> FieldElement:
-    """Sum of the pointwise products over all of F_q^n."""
+def inner_product(f: Polynomial, g: Polynomial) -> int:
+    """Sum of the pointwise products over all of F_q^n, reduced mod q."""
     f._check(g)
-    total = int((f.evaluate_all().values * g.evaluate_all().values).sum())
-    return FieldElement(total, f.q)
+    return int((f.evaluate_all().values * g.evaluate_all().values).sum()) % f.q
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import coefficient_blocks, ensure_prime
-from .errors import StructureError
+from .errors import ParamsMismatchError, StructureError
 from .estimator import check_budget
 
 
@@ -157,6 +157,10 @@ def _vanishing_probabilities(
     length q^N is below 2^63 / q^2.
     """
     q, total = part.q, part.q**part.n_vars
+    for polys in systems:
+        for p in polys:
+            if (p.q, p.n_vars) != (q, part.n_vars):
+                raise ParamsMismatchError("polynomial and partition disagree on (q, N)")
     check_budget(total, budget, "assignment enumeration")
     counts = [0] * len(systems)
     for rows in coefficient_blocks(q, part.n_vars):

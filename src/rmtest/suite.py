@@ -6,6 +6,7 @@ is deterministic given its seed.
 
 from __future__ import annotations
 
+import itertools as it
 import json
 from fractions import Fraction
 
@@ -54,7 +55,6 @@ def criterion_dominating_sets() -> dict:
         for n in (1, 2, 3, 4):
             top = n * (q - 1)
             monos = combin.all_monomials(q, n)
-            profiles = {m: combin.dominating_profile(m) for m in monos}
             for m in monos:
                 d = m.degree
                 for s in range(0, top - d + 1):
@@ -95,42 +95,37 @@ def _drop_bound_sweep(q: int, n: int, f_degree_cap: int, e_values) -> dict:
     K = q**n
     fidx = alg.monomial_indices_up_to_degree(q, n, f_degree_cap)
     rows = np.concatenate(list(alg.coefficient_blocks(q, len(fidx))), axis=0)
+    rows = rows[rows.any(axis=1)]  # the nonzero f
     fcoeffs = np.zeros((len(rows), K), dtype=np.int64)
     fcoeffs[:, fidx] = rows
     ftables = alg.batch_evaluate(q, n, fcoeffs)
     fdegs = alg.batch_degrees(q, n, fcoeffs)
     deg_tab = alg.degree_table(q, n)
     score = (fcoeffs != 0) * ((deg_tab + 1) * K + np.arange(K) + 1)
-    lm_code = (score.max(axis=1) - 1) % K  # LM monomial index (valid when f != 0)
+    lm_code = (score.max(axis=1) - 1) % K  # LM monomial index
 
     violations = 0
     checked = 0
     equalities = 0
     for e in e_values:
         total = CodeParams(q, n, e).size
-        hist = rmcode.product_degree_counts(q, n, e, ftables)
-        cum = np.cumsum(hist, axis=1)
-        bound_pow = {}
-        for mi in np.unique(lm_code[fdegs >= 0]):
-            m = Monomial.from_index(q, n, int(mi))
-            for s in range(0, e + 1):
-                bound_pow[(int(mi), s)] = combin.dominating_range_count(m, s, e)
-        nonzero = np.flatnonzero(fdegs >= 0)
+        cum = np.cumsum(rmcode.product_degree_counts(q, n, e, ftables), axis=1)
         for s in range(0, e + 1):
-            thr = fdegs[nonzero] + s  # drop means deg < thr
-            cut = np.minimum(thr - 1, nq) + 1
-            drops = np.where(
-                thr > nq, total, cum[nonzero, np.maximum(cut, 0)]
+            bound_pow = np.array(
+                [
+                    combin.dominating_range_count(Monomial.from_index(q, n, mi), s, e)
+                    for mi in range(K)
+                ],
+                dtype=np.int64,
             )
-            pows = np.array(
-                [bound_pow[(int(mi), s)] for mi in lm_code[nonzero]], dtype=np.int64
-            )
-            bad = drops * np.power(q, pows, dtype=object) > total
-            violations += int(np.count_nonzero(bad))
-            equalities += int(
-                np.count_nonzero(drops * np.power(q, pows, dtype=object) == total)
-            )
-            checked += len(nonzero)
+            # drop means deg < thr; cum[:, t + 1] counts the products of
+            # degree <= t, the zero product included
+            thr = fdegs + s
+            drops = cum[np.arange(len(rows)), np.minimum(thr, nq + 1)]
+            scaled = drops * np.power(q, bound_pow[lm_code], dtype=object)
+            violations += int(np.count_nonzero(scaled > total))
+            equalities += int(np.count_nonzero(scaled == total))
+            checked += len(rows)
     return {
         "q": q,
         "n": n,
@@ -177,13 +172,18 @@ def criterion_tightness() -> dict:
     every instance, under the natural and the reversed orderings."""
     cases = []
     ok = True
+    # the support size of every witness matches the classical tight value
+    support_ok = True
     for q, n, d, e, s in TIGHTNESS_INSTANCES:
+        u, v = divmod(d, q - 1)
         for ordering in (
             genbasis.FieldOrdering.natural(q),
             genbasis.FieldOrdering.reversed_natural(q),
         ):
             rep = sztest.verify_tightness(q, n, d, e, s, ordering)
             ok &= rep.equal
+            support = rep.witness.evaluate_all().support_size()
+            support_ok &= support == (q - v) * q ** (n - u) // q
             cases.append(
                 {
                     "q": q,
@@ -197,12 +197,6 @@ def criterion_tightness() -> dict:
                     "equal": rep.equal,
                 }
             )
-    # support size of the witness matches the classical tight value
-    support_ok = True
-    for q, n, d, *_ in TIGHTNESS_INSTANCES:
-        u, v = divmod(d, q - 1)
-        w = sztest.tight_witness(q, n, d)
-        support_ok &= w.evaluate_all().support_size() == (q - v) * q ** (n - u) // q
     return {
         "name": "tight_witness_equality",
         "passed": ok and support_ok,
@@ -251,30 +245,23 @@ def criterion_basis_structure(seed: int) -> dict:
     products with basis polynomials, the reassembly identity of the
     triangular decomposition, and the nonzero-diagonal product tensor."""
     # basis property: f*b_i has no components below level i and its level-i
-    # component is f evaluated at the i-th node
+    # component is f evaluated at the i-th node, for every f over (2,1) and
+    # (3,1) and 500 random f over (5,1)
+    rng = trial_rng(seed, 6001)
+    cases = [(q, list(alg.all_polynomials(q, 1))) for q in (2, 3)]
+    cases.append((5, [alg.random_polynomial(5, 1, 4, rng) for _ in range(500)]))
     prop_checked = 0
     ok = True
-    for q in (2, 3):
+    for q, fs in cases:
         ordering = genbasis.FieldOrdering.natural(q)
         basis = genbasis.basis_polys(ordering)
-        for f in alg.all_polynomials(q, 1):
-            for i in range(q):
-                prod = alg.mul_reduced(f, basis[i])
-                gen = genbasis.to_generalized(prod, ordering)
-                ok &= all(int(gen[j]) == 0 for j in range(i))
-                ok &= int(gen[i]) == f.evaluate([ordering.xi[i]])
+        for f in fs:
+            values = f.evaluate_all().values
+            for i, b in enumerate(basis):
+                gen = genbasis.to_generalized(alg.mul_reduced(f, b), ordering)
+                ok &= not gen[:i].any()
+                ok &= int(gen[i]) == int(values[ordering.xi[i]])
                 prop_checked += 1
-    rng = trial_rng(seed, 6001)
-    ordering5 = genbasis.FieldOrdering.natural(5)
-    basis5 = genbasis.basis_polys(ordering5)
-    for _ in range(500):
-        f = alg.random_polynomial(5, 1, 4, rng)
-        for i in range(5):
-            prod = alg.mul_reduced(f, basis5[i])
-            gen = genbasis.to_generalized(prod, ordering5)
-            ok &= all(int(gen[j]) == 0 for j in range(i))
-            ok &= int(gen[i]) == f.evaluate([ordering5.xi[i]])
-            prop_checked += 1
 
     # triangular decomposition reassembly
     ut_checked = 0
@@ -304,8 +291,6 @@ def criterion_basis_structure(seed: int) -> dict:
     # structure constants: triangular with the prescribed diagonal, for
     # every ordering of the three-element field
     sc_ok = True
-    import itertools as it
-
     for perm in it.permutations(range(3)):
         ordering = genbasis.FieldOrdering(3, perm)
         gamma = genbasis.structure_constants(ordering).gamma
@@ -376,21 +361,11 @@ def criterion_character_identity() -> dict:
     return {"name": "character_membership_identity", "passed": ok, "checked": checked}
 
 
-def _cyclo_values(counts: np.ndarray, q: int) -> np.ndarray:
-    omega = np.exp(2j * np.pi / q)
-    total = counts.sum(axis=0)
-    acc = np.zeros(counts.shape[1], dtype=complex)
-    for a in range(q):
-        acc += counts[a] * omega**a
-    return acc / total
-
-
-def _residue_columns(res: np.ndarray, q: int) -> np.ndarray:
-    """counts[a, j] = how many rows of column j hit residue a."""
-    cols = res.shape[1]
-    flat = res + q * np.arange(cols)[None, :]
-    counts = np.bincount(flat.ravel(), minlength=q * cols)
-    return counts.reshape(cols, q).T
+def _character_means(rows: np.ndarray, F: np.ndarray, q: int) -> np.ndarray:
+    """Mean of omega^<row, f> over the rows of rows, for every function f
+    (a value table, one per row of F)."""
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    return roots[rows @ F.T % q].mean(axis=0)
 
 
 # Functions per block in criterion_squaring_chain: at (3, 2) its pair
@@ -408,41 +383,37 @@ def criterion_squaring_chain() -> dict:
     step_checked = 0
     for q, n in ((2, 1), (2, 2), (3, 1), (3, 2)):
         K = q**n
-        # all function tables = all vectors, a fixed block at a time: every
-        # check below is per function (per column of IP), so blocks only
-        # bound the memory
-        for F in alg.coefficient_blocks(q, K, block_size=_SQUARING_BLOCK):
-            for e in (0, 1):
-                T = np.concatenate([t for _, t in rmcode.codeword_tables(CodeParams(q, n, e))])
-                IP = (T @ F.T) % q  # <P_i, f_j>
-                S = F.sum(axis=1) % q  # <1, f_j>
+        for e in (0, 1):
+            T = np.concatenate([t for _, t in rmcode.codeword_tables(CodeParams(q, n, e))])
+            # two-step, q = 3: |avg w^{<g(P),f>}|^4 <= Re avg w^{<2 g2 P1P2, f>}
+            # for every shape g of degree 2, as (P1P2 rows, g(P) row sets)
+            steps = []
+            if q == 3:
+                T2 = (T[:, None, :] * T[None, :, :] % q).reshape(-1, K)
+                for g2 in range(1, q):
+                    shapes = [
+                        mt.UnivariatePoly(q, (g0, g1, g2)).value_table()
+                        for g1 in range(q)
+                        for g0 in range(q)
+                    ]
+                    steps.append((2 * g2 * T2 % q, [g[T] for g in shapes]))
+            # all function tables = all vectors, a fixed block at a time:
+            # every check below is per function, so blocks only bound the
+            # memory
+            for F in alg.coefficient_blocks(q, K, block_size=_SQUARING_BLOCK):
                 for a in range(1, q):
+                    rhs = _character_means(a * T % q, F, q)
                     for b in range(q):
-                        R = (a * IP + b * S[None, :]) % q
-                        vals = _cyclo_values(_residue_columns(R, q), q)
-                        lhs = np.abs(vals) ** 2
-                        R0 = (a * IP) % q
-                        rhs = _cyclo_values(_residue_columns(R0, q), q)
+                        lhs = np.abs(_character_means((a * T + b) % q, F, q)) ** 2
                         ok &= bool(np.all(np.abs(lhs - rhs) < tol))
-                        base_checked += F.shape[0]
-                if q == 3:
-                    # two-step: |avg w^{<g(P),f>}|^4 <= Re avg w^{<2 g2 P1P2, f>}
-                    T2 = (T[:, None, :] * T[None, :, :] % q).reshape(-1, K)
-                    IP2 = (T2 @ F.T) % q
-                    for g2 in range(1, q):
-                        scal = (2 * g2) % q
-                        R2 = (scal * IP2) % q
-                        rhs = _cyclo_values(_residue_columns(R2, q), q)
-                        for g1 in range(q):
-                            for g0 in range(q):
-                                h = mt.UnivariatePoly(q, (g0, g1, g2))
-                                gt = h.value_table()[T]
-                                Rg = (gt @ F.T) % q
-                                vals = _cyclo_values(_residue_columns(Rg, q), q)
-                                lhs = np.abs(vals) ** 4
-                                ok &= bool(np.all(lhs <= rhs.real + tol))
-                                ok &= bool(np.all(np.abs(rhs.imag) < tol))
-                                step_checked += F.shape[0]
+                        base_checked += len(F)
+                for pairs, shaped in steps:
+                    rhs = _character_means(pairs, F, q)
+                    ok &= bool(np.all(np.abs(rhs.imag) < tol))
+                    for gt in shaped:
+                        lhs = np.abs(_character_means(gt, F, q)) ** 4
+                        ok &= bool(np.all(lhs <= rhs.real + tol))
+                        step_checked += len(F)
     return {
         "name": "squaring_chain",
         "passed": ok,
@@ -471,43 +442,37 @@ def criterion_robust_reduction() -> dict:
     }
 
 
-def _calibration_instance_drop(rng: np.random.Generator) -> bool:
-    f = Polynomial.variable(2, 2, 0)
-    p = alg.random_polynomial(2, 2, 1, rng)
-    return alg.mul_reduced(f, p).degree < 2
-
-
-_HARD_F = None
-
-
-def _calibration_instance_test(rng: np.random.Generator) -> bool:
-    global _HARD_F
-    if _HARD_F is None:
-        _HARD_F = mt.hard_instance(2, 3, 1)
-    cfg = mt.TestConfig(CodeParams(2, 3, 1), e=1, k=1)
-    return mt.test_e_k(_HARD_F, cfg, rng)
-
-
-def _calibration_instance_vanish(rng: np.random.Generator) -> bool:
-    p = alg.random_polynomial(2, 3, 1, rng)
-    tab = p.evaluate_all().values
-    return bool(tab[0] == 0 and tab[1] == 0)  # points 000 and 001
-
-
 def criterion_calibration(seed: int) -> dict:
     """Wilson intervals from 1000-trial runs cover the known exact value in
     at least 90 of 100 seeded meta-runs, on three exactly-solved events."""
+    x1 = Polynomial.variable(2, 2, 0)
+    hard = mt.hard_instance(2, 3, 1)
+    cfg = mt.TestConfig(CodeParams(2, 3, 1), e=1, k=1)
+
+    def vanish(rng: np.random.Generator) -> bool:
+        tab = alg.random_polynomial(2, 3, 1, rng).evaluate_all().values
+        return bool(tab[0] == 0 and tab[1] == 0)  # points 000 and 001
+
+    # each instance maps a run's seed to its 1000-trial estimate
     instances = [
-        ("degree_drop_half", _calibration_instance_drop, Fraction(1, 2)),
-        ("hard_instance_accept", _calibration_instance_test, Fraction(1, 2)),
-        ("subspace_vanish_quarter", _calibration_instance_vanish, Fraction(1, 4)),
+        (
+            "degree_drop_half",
+            lambda s: sztest.degree_drop_probability(x1, 1, 1, trials=1000, seed=s).estimate,
+            Fraction(1, 2),
+        ),
+        (
+            "hard_instance_accept",
+            lambda s: estimate(lambda rng: mt.test_e_k(hard, cfg, rng), 1000, s),
+            Fraction(1, 2),
+        ),
+        ("subspace_vanish_quarter", lambda s: estimate(vanish, 1000, s), Fraction(1, 4)),
     ]
     ok = True
     rows = []
-    for tag, (label, event, exact) in enumerate(instances):
+    for tag, (label, run_estimate, exact) in enumerate(instances):
         covered = 0
         for run in range(100):
-            res = estimate(event, 1000, mix64(seed ^ mix64(11000 + tag) ^ run))
+            res = run_estimate(mix64(seed ^ mix64(11000 + tag) ^ run))
             if res.ci_low <= float(exact) <= res.ci_high:
                 covered += 1
         ok &= covered >= 90

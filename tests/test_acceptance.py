@@ -1,11 +1,11 @@
 """Acceptance criteria, one test per criterion, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
-print.  Criteria 1-11 come from the shared battery; criterion 12 runs the
-CLI suite twice end to end and compares the report bytes.
+print.  Criteria 1-11 come from one in-process run of the whole suite;
+criterion 12 runs the CLI suite end to end in a fresh process and compares
+its report bytes with that run's.
 """
 
-import json
 import subprocess
 import sys
 import time
@@ -31,16 +31,30 @@ LIMITS = {
 
 @pytest.fixture(scope="session")
 def battery():
-    reports = {}
-    for label, fn in suite_mod.CRITERIA:
-        start = time.perf_counter()
-        rep = fn(7, None)
-        reports[rep["name"]] = (rep, time.perf_counter() - start)
-    return reports
+    """The report of run_suite(seed=7) and each criterion's time by name."""
+    elapsed = {}
+
+    def timed(fn):
+        def run(seed, budget):
+            start = time.perf_counter()
+            rep = fn(seed, budget)
+            elapsed[rep["name"]] = time.perf_counter() - start
+            return rep
+
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            suite_mod, "CRITERIA", tuple((label, timed(fn)) for label, fn in suite_mod.CRITERIA)
+        )
+        report = suite_mod.run_suite(seed=7, quiet=True)
+    return report, elapsed
 
 
 def _check(battery, index, name):
-    rep, elapsed = battery[name]
+    report, times = battery
+    rep = next(r for r in report["criteria"] if r["name"] == name)
+    elapsed = times[name]
     status = "PASS" if rep["passed"] else "FAIL"
     print(f"criterion {index:2d} [{status}] {name} ({elapsed:.1f}s)")
     assert rep["passed"], rep
@@ -120,23 +134,20 @@ def test_criterion_11_monte_carlo_calibration(battery):
         assert row["covered"] >= 90
 
 
-def test_criterion_12_suite_determinism(tmp_path):
-    outs = []
-    for i in (1, 2):
-        path = tmp_path / f"suite{i}.json"
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "rmtest.cli", "suite", "--seed", "7",
-             "--quiet", "--json", str(path)],
-            capture_output=True,
-        )
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 0, proc.stderr
-        assert elapsed < 600
-        outs.append(path.read_bytes())
-    identical = outs[0] == outs[1]
+def test_criterion_12_suite_determinism(battery, tmp_path):
+    report, _ = battery
+    path = tmp_path / "suite.json"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rmtest.cli", "suite", "--seed", "7",
+         "--quiet", "--json", str(path)],
+        capture_output=True,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 600
+    identical = path.read_bytes() == suite_mod.suite_json(report).encode()
     print(f"criterion 12 [{'PASS' if identical else 'FAIL'}] suite_determinism")
     assert identical
-    report = json.loads(outs[0])
     assert report["all_passed"] is True
     assert report["seed"] == 7

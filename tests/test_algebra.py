@@ -27,16 +27,6 @@ def test_prime_check():
         Monomial(9, (1,))
 
 
-def test_field_element_ops():
-    a = alg.FieldElement(2, 3)
-    assert int(a + 2) == 1
-    assert int(a * a) == 1
-    assert int(-a) == 1
-    assert int(a.inverse()) == 2
-    with pytest.raises(ParamsMismatchError):
-        a + alg.FieldElement(1, 5)
-
-
 class TestReducedProduct:
     def test_square_collapses_over_f2(self):
         x = Polynomial.variable(2, 1, 0)

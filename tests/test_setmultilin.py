@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rmtest import setmultilin as sml
-from rmtest.errors import StructureError
+from rmtest.errors import ParamsMismatchError, StructureError
 
 
 def poly(q, n, terms):
@@ -88,6 +88,13 @@ class TestVanishingProbability:
         part = sml.Partition(2, ((0, 1),))
         with pytest.raises(StructureError):
             sml.PartitionedSystem(part, (poly(2, 2, {(0, 1): 1}),))
+
+    @pytest.mark.parametrize("p", [poly(2, 2, {(0,): 1}), poly(3, 5, {(4,): 1})])
+    def test_polynomials_over_other_parameters_are_refused(self, p):
+        # a mod-2 polynomial read over F_3, and a variable beyond the partition
+        part = sml.Partition.from_sizes(3, [1, 1])
+        with pytest.raises(ParamsMismatchError):
+            sml.vanishing_probability([p], part)
 
 
 def brute_force_vanishing(polys, part):
