@@ -85,10 +85,6 @@ def _write_rows(path_or_stdout, columns, rows, quiet):
         fh.close()
 
 
-def _pfloat(x) -> float | None:
-    return float(x) if x is not None else None
-
-
 def _test_report(command, params, mode, accept_count, total, p_hat, ci, bound, vacuous, seed):
     return {
         "command": command,
@@ -96,7 +92,7 @@ def _test_report(command, params, mode, accept_count, total, p_hat, ci, bound, v
         "mode": mode,
         "accept_count": accept_count,
         "total": total,
-        "p_hat": _pfloat(p_hat),
+        "p_hat": float(p_hat),
         "p_exact": str(p_hat) if isinstance(p_hat, Fraction) else None,
         "ci_low": ci[0] if ci else None,
         "ci_high": ci[1] if ci else None,
@@ -185,7 +181,7 @@ def cmd_combin(args) -> int:
                 ["U", args.q, args.n, m.degree, s, str(m), combin.dominating_count(m, s)]
             )
             rows.append(
-                ["D", args.q, args.n, m.degree, s, str(m), combin.disjoint_count(m, s)]
+                ["D", args.q, args.n, m.degree, s, str(m), combin.dominating_count(m, s)]
             )
     _write_rows(args.csv, ["kind", "q", "n", "d", "s", "monomial", "count"], rows, args.quiet)
     return EXIT_OK

@@ -3,8 +3,9 @@
 For a reduced monomial m of degree d, the dominating set at shift s holds
 the monomials of degree d+s that dominate m coordinatewise (every exponent
 at least m's and below q); the disjoint set at s holds the degree-s
-monomials whose product with m needs no reduction.  The two are always
-equinumerous, which the enumeration functions here make checkable.
+monomials whose product with m needs no reduction.  u -> m*u maps the
+disjoint set at s one to one onto the dominating set at s, so one count
+serves both; the two enumeration functions stay separate routes.
 Enumeration is by odometer over exponent vectors; instance sizes are tiny
 and exactness matters more than asymptotics.
 """
@@ -122,25 +123,12 @@ def disjoint_range(m: Monomial, s: int, e: int) -> tuple[Monomial, ...]:
     )
 
 
-def dominating_profile(m: Monomial) -> np.ndarray:
-    """profile[k] = #monomials of total degree k dominating m, all k >= 0.
-
-    Coefficient extraction from prod_j (x^{e_j} + ... + x^{q-1}); the
-    dominating set at shift s has size profile[deg(m)+s].
-    """
-    q = m.q
-    poly = np.ones(1, dtype=np.int64)
-    for e in m.exponents:
-        factor = np.zeros(q, dtype=np.int64)
-        factor[e:] = 1
-        poly = np.convolve(poly, factor)
-    return poly
-
-
 def disjoint_profile(m: Monomial) -> np.ndarray:
     """profile[t] = number of degree-t monomials disjoint from m.
 
-    Coefficient extraction from prod_j (1 + x + ... + x^{q-1-e_j}).
+    Coefficient extraction from prod_j (1 + x + ... + x^{q-1-e_j}).  It is
+    also the dominating-set size at shift t: u -> m*u maps the disjoint set
+    at t one to one onto the dominating set at t.
     """
     q = m.q
     poly = np.ones(1, dtype=np.int64)
@@ -150,24 +138,13 @@ def disjoint_profile(m: Monomial) -> np.ndarray:
 
 
 def dominating_count(m: Monomial, s: int) -> int:
-    prof = dominating_profile(m)
-    k = m.degree + s
-    return int(prof[k]) if 0 <= k < len(prof) else 0
-
-
-def dominating_range_count(m: Monomial, s: int, e: int) -> int:
-    """Size of the union of dominating sets over shifts s..e."""
-    prof = dominating_profile(m)
-    lo, hi = max(m.degree + s, 0), min(m.degree + e, len(prof) - 1)
-    return int(prof[lo : hi + 1].sum()) if lo <= hi else 0
-
-
-def disjoint_count(m: Monomial, s: int) -> int:
+    """Size of the dominating set (equally, the disjoint set) at shift s."""
     prof = disjoint_profile(m)
     return int(prof[s]) if 0 <= s < len(prof) else 0
 
 
-def disjoint_range_count(m: Monomial, s: int, e: int) -> int:
+def dominating_range_count(m: Monomial, s: int, e: int) -> int:
+    """Size of the union of dominating sets over shifts s..e."""
     prof = disjoint_profile(m)
     lo, hi = max(s, 0), min(e, len(prof) - 1)
     return int(prof[lo : hi + 1].sum()) if lo <= hi else 0

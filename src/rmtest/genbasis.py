@@ -172,20 +172,14 @@ def generalized_degree(f: Polynomial, ordering: FieldOrdering):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """gamma[r, i, j] = coefficient of level r in the product of levels i, j.
+@functools.lru_cache(maxsize=None)
+def structure_constants(ordering: FieldOrdering) -> np.ndarray:
+    """gamma[r, i, j] = coefficient of level r in the product of levels i, j,
+    read-only.
 
     Zero unless r >= max(i, j); the diagonal gamma[r, r, r] is the value of
     the level-r basis polynomial at its own node, hence nonzero.
     """
-
-    ordering: FieldOrdering
-    gamma: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def structure_constants(ordering: FieldOrdering) -> StructureConstants:
     q = ordering.q
     polys = basis_polys(ordering)
     inv = basis_matrix_inv(ordering)
@@ -195,7 +189,7 @@ def structure_constants(ordering: FieldOrdering) -> StructureConstants:
             prod = mul_reduced(polys[i], polys[j])
             gamma[:, i, j] = inv @ prod.coeffs % q
     gamma.flags.writeable = False
-    return StructureConstants(ordering, gamma)
+    return gamma
 
 
 def components_along(
@@ -246,7 +240,7 @@ def ut_decompose(
     if f.n < 1:
         raise ValueError("need at least one variable")
     q = f.q
-    sc = structure_constants(ordering).gamma
+    sc = structure_constants(ordering)
     f_comp = components_along(f, var, ordering)
     q_comp = components_along(p, var, ordering)
 
@@ -339,7 +333,7 @@ def _beta_tensor(ordering: FieldOrdering, k: int) -> np.ndarray:
     diagonal does.
     """
     q = ordering.q
-    gamma = structure_constants(ordering).gamma
+    gamma = structure_constants(ordering)
     beta = np.eye(q, dtype=np.int64)  # beta[j, j1]
     for _ in range(k - 1):
         # beta'[r, jvec, l] = sum_j gamma[r, j, l] * beta[j, jvec]

@@ -33,6 +33,7 @@ from .algebra import (
     restrict_to_affine,
     sum_index,
 )
+from .errors import ParamsMismatchError
 from .estimator import _trial_streams, check_budget
 from .rmcode import (
     CharacterSum,
@@ -43,6 +44,7 @@ from .rmcode import (
     dual_code,
     generator_matrix,
     high_coefficient_maps,
+    multiplier_code,
     product_degree_counts,
 )
 
@@ -139,12 +141,14 @@ def exact_acceptance_probability(
     tables g, one map per partial product, ranked as one stack.  The budget
     counts the map cells built, q^(M(k-1)) * M * q^n.
     """
+    cfg.code.require(f)
     q, n = cfg.code.q, cfg.code.n
     K = q**n
-    M = combin.monomial_count(q, n, cfg.e)
+    mults = multiplier_code(q, n, cfg.e)
+    M = mults.dimension
     check_budget(q ** (M * (cfg.k - 1)) * M * K, budget, "rank map cells")
     if cfg.k > 1:  # whole tables only for the enumerated outer factors
-        gen = generator_matrix(CodeParams(q, n, min(cfg.e, n * (q - 1))))
+        gen = generator_matrix(mults)
     ftab = f.evaluate_all().values
     accepted = 0
     for block in coefficient_blocks(
@@ -178,7 +182,7 @@ def subspace_vanishing_probability(
     L-dimensional subspace fixing the first n-L coordinates, as q^-rank of
     the M x q^L submatrix of the generator matrix at the subspace's points
     (the closed form is q^(-monomial_count(q, L, e)))."""
-    idx = monomial_indices_up_to_degree(q, n, min(e, n * (q - 1)))
+    idx = monomial_indices_up_to_degree(q, n, multiplier_code(q, n, e).d)
     check_budget(len(idx) * q**L, budget, "rank map cells")
     # the points are the indices below q^L (first n-L digits zero): a
     # monomial in one of the first n-L variables is zero on all of them,
@@ -205,7 +209,6 @@ class BoundParams:
 
     eta: float
     eta_alt_reading: float
-    c_q: int
     L: int
     n_count: int
     bound: float
@@ -226,17 +229,18 @@ def eta_factor(q: int, k: int) -> float:
     return 1.0 / (q ** (k / (q - 1)) * math.log(q))
 
 
-def soundness_bound(cfg: TestConfig, delta: int, c_q: int = DEFAULT_CQ) -> BoundParams:
-    """k * q^(-eta * monomial_count(floor(L/10) - c_q, e)) with L = floor(log_q delta)."""
+def soundness_bound(cfg: TestConfig, delta: int) -> BoundParams:
+    """k * q^(-eta * monomial_count(floor(L/10) - DEFAULT_CQ, e)) with
+    L = floor(log_q delta)."""
     if delta < 1:
         raise ValueError("distance must be at least 1")
     q, k, e = cfg.code.q, cfg.k, cfg.e
     eta = eta_factor(q, k)
     eta_alt = 1.0 / (q ** (k / q - 1) * math.log(q))
     L = _ilog(q, delta)
-    n_count = combin.monomial_count(q, L // 10 - c_q, e)
+    n_count = combin.monomial_count(q, L // 10 - DEFAULT_CQ, e)
     bound = k * q ** (-eta * n_count)
-    return BoundParams(eta, eta_alt, c_q, L, n_count, bound, bound > 1)
+    return BoundParams(eta, eta_alt, L, n_count, bound, bound > 1)
 
 
 @dataclass(frozen=True)
@@ -279,19 +283,23 @@ def case2_bound(q: int, n: int, dprime: int, e: int, k: int) -> tuple[Fraction, 
 # ---------------------------------------------------------------------------
 
 
+def _require_shape(h: UnivariatePoly, q: int, *, test: bool = True) -> None:
+    """Require h over F_q and, for a test's shape, deg(h) < q: at degree q
+    the composition can be identically zero (X^q - X), which would make the
+    test meaningless."""
+    if h.q != q:
+        raise ParamsMismatchError(f"shape polynomial over F_{h.q}, problem over F_{q}")
+    if test and h.degree >= q:
+        raise ValueError(f"shape degree must be below q, got {h.degree}")
+
+
 def corr_h(
     f: Polynomial, cfg: TestConfig, h: UnivariatePoly, rng: np.random.Generator
 ) -> bool:
-    """Accept iff f * h(P) stays within degree d + e*deg(h) for one uniform P.
-
-    Requires deg(h) < q: at degree q the composition can be identically
-    zero (X^q - X), which would make the test meaningless.
-    """
+    """Accept iff f * h(P) stays within degree d + e*deg(h) for one uniform P
+    (deg(h) < q)."""
     q, n = cfg.code.q, cfg.code.n
-    if h.q != q:
-        raise ValueError("shape polynomial has the wrong modulus")
-    if h.degree >= q:
-        raise ValueError(f"shape degree must be below q, got {h.degree}")
+    _require_shape(h, q)
     p = random_polynomial(q, n, cfg.e, rng)
     prod = mul_reduced(f, h.eval_poly(p))
     return prod.degree <= cfg.code.d + cfg.e * h.degree
@@ -305,10 +313,10 @@ def exact_corr_h_probability(
     The composition is applied pointwise on evaluation tables, an
     independent route from the ring Horner used by the sampler.
     """
+    cfg.code.require(f)
     q, n = cfg.code.q, cfg.code.n
-    if h.degree >= q:
-        raise ValueError(f"shape degree must be below q, got {h.degree}")
-    count = q ** combin.monomial_count(q, n, cfg.e)
+    _require_shape(h, q)
+    count = multiplier_code(q, n, cfg.e).size
     check_budget(count, budget, "multiplier enumeration")
     hist = product_degree_counts(
         q, n, cfg.e, f.evaluate_all().values[None, :], shape=h.value_table()
@@ -336,11 +344,11 @@ def raw_character_average(
     f: Polynomial, e: int, g: UnivariatePoly, budget: int | None = None
 ) -> CharacterSum:
     """Average over uniform degree-<=e multipliers P of omega^<g(P), f>."""
-    q, n = f.q, f.n
-    count = q ** combin.monomial_count(q, n, e)
-    check_budget(count, budget, "multiplier enumeration")
+    q = f.q
+    _require_shape(g, q, test=False)
+    code = multiplier_code(q, f.n, e)
+    check_budget(code.size, budget, "multiplier enumeration")
     gvals, fvals = g.value_table(), f.evaluate_all().values
-    code = CodeParams(q, n, min(e, n * (q - 1)))
     return _character_counts(
         q, (gvals[tables] @ fvals for _, tables in codeword_tables(code))
     )
@@ -350,11 +358,10 @@ def pair_character_average(
     f: Polynomial, e: int, scalar: int, budget: int | None = None
 ) -> CharacterSum:
     """Average over independent P1, P2 of omega^<scalar * P1 * P2, f>."""
-    q, n = f.q, f.n
-    count = q ** combin.monomial_count(q, n, e)
-    check_budget(count**2, budget, "pair enumeration")
+    q = f.q
+    code = multiplier_code(q, f.n, e)
+    check_budget(code.size**2, budget, "pair enumeration")
     weights = f.evaluate_all().values * (scalar % q) % q
-    code = CodeParams(q, n, min(e, n * (q - 1)))
     weighted = (tables * weights % q for _, tables in codeword_tables(code))
     return _character_counts(q, _cross_residues(weighted, code))
 
@@ -368,19 +375,19 @@ def character_average(
     f*h(P), so the absolute value of the result equals the shaped test's
     acceptance probability.
     """
+    cfg.code.require(f)
     q, n = cfg.code.q, cfg.code.n
-    if h.degree >= q:
-        raise ValueError(f"shape degree must be below q, got {h.degree}")
+    _require_shape(h, q)
     target_d = min(cfg.code.d + cfg.e * h.degree, n * (q - 1))
     dual = dual_code(CodeParams(q, n, target_d))
-    count = q ** combin.monomial_count(q, n, cfg.e)
+    code = multiplier_code(q, n, cfg.e)
+    count = code.size
     dual_count = 1 if dual is None else dual.size
     check_budget(count * dual_count, budget, "double enumeration")
     if dual is None:
         # the dual is {0}: every residue is 0
         return CharacterSum(q, (count,) + (0,) * (q - 1), count)
     hvals, fvals = h.value_table(), f.evaluate_all().values
-    code = CodeParams(q, n, min(cfg.e, n * (q - 1)))
     prods = (hvals[tables] * fvals % q for _, tables in codeword_tables(code))
     return _character_counts(q, _cross_residues(prods, dual))
 
@@ -446,6 +453,7 @@ def robust_distance_experiment(
     at-or-below each candidate radius, which is the quantity the
     robustness statements bound.
     """
+    cfg.code.require(f)
     if cfg.k != 1:
         raise ValueError("the robustness experiment multiplies by a single P")
     q, n = cfg.code.q, cfg.code.n
@@ -453,9 +461,10 @@ def robust_distance_experiment(
     target = CodeParams(q, n, min(cfg.code.d + cfg.e, n * (q - 1)))
     check_budget(target.size, budget, "coset enumeration")
     if trials is None:
-        samples = q ** combin.monomial_count(q, n, cfg.e)
+        mults = multiplier_code(q, n, cfg.e)
+        samples = mults.size
         check_budget(samples * target.size, budget, "multiplier x coset enumeration")
-        blocks = _class_multipliers(CodeParams(q, n, min(cfg.e, n * (q - 1))))
+        blocks = _class_multipliers(mults)
         mode, seed_out = "exact", None
     else:
         if trials < 1:
@@ -532,6 +541,7 @@ def sample_affine_subspace(
 def akklr_test(f: Polynomial, code: CodeParams, rng: np.random.Generator) -> bool:
     """Accept iff f restricted to a random (d+1)-dimensional affine
     subspace has degree at most d."""
+    code.require(f)
     q, n, d = code.q, code.n, code.d
     if d + 1 > n:
         raise ValueError(f"need d+1 <= n, got d={d}, n={n}")
@@ -575,6 +585,7 @@ def akklr_exact_rejection_probability(
     coefficients above degree d is nonzero.  The budget counts the pairs
     walked, gaussian_binomial(q, n, d+1) * q^n.
     """
+    code.require(f)
     q, n, d = code.q, code.n, code.d
     if d + 1 > n:
         raise ValueError(f"need d+1 <= n, got d={d}, n={n}")

@@ -29,6 +29,7 @@ from .algebra import (
     ensure_prime,
     monomial_indices_up_to_degree,
 )
+from .errors import ParamsMismatchError
 from .estimator import check_budget, get_budget, trial_rng
 
 # Table cells per block (2^18).  A code's cached low-codeword table holds at
@@ -71,8 +72,18 @@ class CodeParams:
     def size(self) -> int:
         return self.q**self.dimension
 
-    def dual_order(self) -> int:
-        return self.r - 1
+    def require(self, f: Polynomial) -> None:
+        """Raise ParamsMismatchError unless f lives over this code's (q, n)."""
+        if (f.q, f.n) != (self.q, self.n):
+            raise ParamsMismatchError(
+                f"polynomial over (q, n) = ({f.q}, {f.n}), code over ({self.q}, {self.n})"
+            )
+
+
+def multiplier_code(q: int, n: int, e: int) -> CodeParams:
+    """The multipliers of degree <= e over (q, n), as the code of order
+    min(e, n(q-1)): its rows, dimension M and size q^M."""
+    return CodeParams(q, n, min(e, (q - 1) * n))
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,7 @@ class DistanceResult:
 
 def is_member(f: Polynomial, code: CodeParams) -> bool:
     """Membership is a degree test; the zero polynomial always belongs."""
-    if f.q != code.q or f.n != code.n:
-        raise ValueError("polynomial and code parameters disagree")
+    code.require(f)
     return f.degree <= code.d
 
 
@@ -183,7 +193,7 @@ def product_degree_counts(
     row_base = np.arange(rows) * (nq + 2) + 1
     block = max(1, _PRODUCT_BLOCK_CELLS // (rows * K))  # multipliers per call
     hist = np.zeros(rows * (nq + 2), dtype=np.int64)
-    for _, tables in codeword_tables(CodeParams(q, n, min(e, nq))):
+    for _, tables in codeword_tables(multiplier_code(q, n, e)):
         if shape is not None:
             tables = shape[tables]
         for start in range(0, len(tables), block):
@@ -210,7 +220,7 @@ def high_coefficient_maps(
     unsigned dtype that holds q - 1.
     """
     K = q**n
-    idx = monomial_indices_up_to_degree(q, n, min(e, n * (q - 1)))
+    idx = monomial_indices_up_to_degree(q, n, multiplier_code(q, n, e).d)
     high = np.flatnonzero(degree_table(q, n) > threshold)
     dtype = np.min_scalar_type(q - 1)
     maps = np.empty((len(ftables), len(idx), len(high)), dtype=dtype)
@@ -266,8 +276,7 @@ def coset_distances(code: CodeParams, rows: np.ndarray) -> tuple[np.ndarray, np.
 
 def distance(f: Polynomial, code: CodeParams, budget: int | None = None) -> DistanceResult:
     """Exact distance to the code by enumerating the coset of f."""
-    if f.q != code.q or f.n != code.n:
-        raise ValueError("polynomial and code parameters disagree")
+    code.require(f)
     check_budget(code.size, budget, "coset enumeration")
     q, n = code.q, code.n
     dists, nearest = coset_distances(code, f.evaluate_all().values[None, :])
@@ -314,9 +323,9 @@ def macwilliams_transform(dual_counts: np.ndarray, q: int, npoints: int) -> np.n
 
 def dual_code(code: CodeParams) -> CodeParams | None:
     """The dual (order r-1) or None when the dual is the zero code."""
-    if code.dual_order() < 0:
+    if code.r < 1:
         return None
-    return CodeParams(code.q, code.n, code.dual_order())
+    return CodeParams(code.q, code.n, code.r - 1)
 
 
 def min_weight(code: CodeParams, budget: int | None = None) -> int:
@@ -386,9 +395,6 @@ class CharacterSum:
         omega = cmath.exp(2j * cmath.pi / self.q)
         return sum(c * omega**a for a, c in enumerate(self.counts)) / self.total
 
-    def abs_value(self) -> float:
-        return abs(self.value())
-
     def rational_if_real(self) -> Fraction | None:
         """Exact value when the counts show it is rational (all nonzero
         residues equally hit); None otherwise."""
@@ -429,9 +435,8 @@ def character_membership(
     code: exactly 1 for members and 0 for non-members.  Sampled mode
     averages over uniformly drawn dual words.
     """
-    q, n = code.q, code.n
-    if f.q != q or f.n != n:
-        raise ValueError("polynomial and code parameters disagree")
+    code.require(f)
+    q = code.q
     ftab = f.evaluate_all().values
     dual = dual_code(code)
     if dual is None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools as it
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,6 @@ from . import combin, genbasis, multtests as mt, rmcode, setmultilin as sml, szt
 from .algebra import Monomial, Polynomial
 from .estimator import estimate, get_budget, mix64, trial_rng
 from .rmcode import CodeParams
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +59,7 @@ def criterion_dominating_sets() -> dict:
                     D = combin.disjoint_monomials(m, s)
                     ok &= len(U) == len(D)
                     ok &= len(U) == combin.dominating_count(m, s)
-                    ok &= len(D) == combin.disjoint_count(m, s)
+                    ok &= len(D) == combin.dominating_count(m, s)
                     checked += 1
             for d in range(0, top + 1):
                 m0 = combin.extremal_monomial(q, n, d)
@@ -192,8 +189,8 @@ def criterion_tightness() -> dict:
                     "e": e,
                     "s": s,
                     "ordering": list(ordering.xi),
-                    "probability": _frac(rep.probability),
-                    "target": _frac(rep.target),
+                    "probability": str(rep.probability),
+                    "target": str(rep.target),
                     "equal": rep.equal,
                 }
             )
@@ -231,11 +228,11 @@ def criterion_hard_instance() -> dict:
     return {
         "name": "hard_instance_floor",
         "passed": ok,
-        "floor": _frac(floor_bound),
-        "p_at_order_2": _frac(p_stated),
+        "floor": str(floor_bound),
+        "p_at_order_2": str(p_stated),
         "order_2_vacuous": cfg_stated.vacuous,
-        "p_at_order_1": _frac(p_far),
-        "subspace_vanish_probability": _frac(p_vanish),
+        "p_at_order_1": str(p_far),
+        "subspace_vanish_probability": str(p_vanish),
         "distance_from_order_1": dist,
     }
 
@@ -293,7 +290,7 @@ def criterion_basis_structure(seed: int) -> dict:
     sc_ok = True
     for perm in it.permutations(range(3)):
         ordering = genbasis.FieldOrdering(3, perm)
-        gamma = genbasis.structure_constants(ordering).gamma
+        gamma = genbasis.structure_constants(ordering)
         basis = genbasis.basis_polys(ordering)
         for r in range(3):
             sc_ok &= int(gamma[r, r, r]) == basis[r].evaluate([ordering.xi[r]]) != 0
@@ -476,7 +473,7 @@ def criterion_calibration(seed: int) -> dict:
             if res.ci_low <= float(exact) <= res.ci_high:
                 covered += 1
         ok &= covered >= 90
-        rows.append({"instance": label, "exact": _frac(exact), "covered": covered})
+        rows.append({"instance": label, "exact": str(exact), "covered": covered})
     return {"name": "monte_carlo_calibration", "passed": ok, "instances": rows}
 
 
@@ -502,7 +499,7 @@ def run_suite(seed: int = 7, budget: int | None = None, quiet: bool = False) -> 
         rep = fn(seed, budget)
         reports.append(rep)
         if not quiet:
-            print(f"[{'PASS' if rep['passed'] else 'FAIL'}] {rep['name']}")
+            print(f"[{'PASS' if rep['passed'] else 'FAIL'}] {rep['name']}", file=sys.stderr)
     return {
         "suite": "rmtest-acceptance",
         "seed": seed,

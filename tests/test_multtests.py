@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from rmtest import algebra as alg, combin, multtests as mt, rmcode
 from rmtest.algebra import Polynomial
+from rmtest.errors import ParamsMismatchError
 from rmtest.estimator import _trial_streams, trial_rng
 from rmtest.rmcode import CodeParams
 
@@ -350,7 +351,7 @@ class TestCharacterAverages:
             cs = mt.character_average(f, cfg, h)
             p = mt.exact_corr_h_probability(f, cfg, h)
             assert cs.rational_if_real() == p
-            assert abs(cs.abs_value() - float(p)) < 1e-9
+            assert abs(abs(cs.value()) - float(p)) < 1e-9
 
     def test_squaring_base_case(self):
         rng = np.random.default_rng(41)
@@ -636,3 +637,49 @@ class TestAKKLR:
         assert p == Fraction(168, 341)
         assert peak < 8 * 2**20
 
+
+
+
+# f over (3, 2) against a (2, 2) code, and a shape over F_5 on an F_3
+# problem: each oracle refuses instead of answering for another ring
+F32 = alg.random_polynomial(3, 2, 4, np.random.default_rng(53))
+CODE22 = CodeParams(2, 2, 0)
+CFG22 = mt.TestConfig(CODE22, e=1)
+CFG32 = mt.TestConfig(CodeParams(3, 2, 1), e=1)
+LINEAR2 = mt.UnivariatePoly(2, (0, 1))
+SHAPE5 = mt.UnivariatePoly(5, (1, 2))
+MISMATCHED_CODE = {
+    "exact_acceptance_probability": lambda: mt.exact_acceptance_probability(F32, CFG22),
+    "exact_corr_h_probability": lambda: mt.exact_corr_h_probability(F32, CFG22, LINEAR2),
+    "character_average": lambda: mt.character_average(F32, CFG22, LINEAR2),
+    "robust_distance_experiment": lambda: mt.robust_distance_experiment(F32, CFG22),
+    "akklr_test": lambda: mt.akklr_test(F32, CODE22, trial_rng(0, 0)),
+    "akklr_exact_rejection_probability": lambda: mt.akklr_exact_rejection_probability(
+        F32, CODE22
+    ),
+    "is_member": lambda: rmcode.is_member(F32, CODE22),
+    "distance": lambda: rmcode.distance(F32, CODE22),
+    "character_membership": lambda: rmcode.character_membership(F32, CODE22),
+}
+MISMATCHED_SHAPE = {
+    "exact_corr_h_probability": lambda: mt.exact_corr_h_probability(F32, CFG32, SHAPE5),
+    "character_average": lambda: mt.character_average(F32, CFG32, SHAPE5),
+    "raw_character_average": lambda: mt.raw_character_average(F32, 1, SHAPE5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED_CODE))
+def test_polynomial_over_other_parameters_is_refused(name):
+    with pytest.raises(ParamsMismatchError):
+        MISMATCHED_CODE[name]()
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED_SHAPE))
+def test_shape_over_another_field_is_refused(name):
+    with pytest.raises(ParamsMismatchError):
+        MISMATCHED_SHAPE[name]()
+
+
+def test_sampled_shape_keeps_its_error_type():
+    with pytest.raises(ValueError):
+        mt.corr_h(F32, CFG32, SHAPE5, trial_rng(0, 0))

@@ -23,6 +23,13 @@ def sz_min_weight(q, n, d):
     return (q - b) * q ** (n - a) // q
 
 
+@pytest.mark.parametrize("q,n,e", [(2, 2, 0), (2, 2, 5), (3, 2, 1), (3, 1, 7)])
+def test_multiplier_code_is_the_clamped_multiplier_space(q, n, e):
+    mults = rmcode.multiplier_code(q, n, e)
+    assert mults.d == min(e, n * (q - 1))
+    assert mults.size == len(list(alg.all_polynomials(q, n, e))) == q**mults.dimension
+
+
 class TestMembership:
     def test_quadratic_not_affine(self):
         f = Polynomial.from_terms(2, 2, {(1, 1): 1})

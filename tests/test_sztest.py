@@ -97,7 +97,7 @@ class TestTightWitness:
         for q, n in ((2, 2), (3, 1)):
             for d in range(0, n * (q - 1) + 1):
                 m0 = combin.extremal_monomial(q, n, d)
-                floor = combin.disjoint_range_count(m0, 0, n * (q - 1))
+                floor = combin.dominating_range_count(m0, 0, n * (q - 1))
                 u, v = divmod(d, q - 1)
                 assert floor == (q - v) * q ** (n - u) // q
                 w = sztest.tight_witness(q, n, d)
